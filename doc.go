@@ -156,7 +156,9 @@
 //     internal/geom outside annotated reference or construction-time
 //     code, pinning the pow-free kernel arithmetic.
 //   - hotalloc: functions annotated //sinrlint:hotpath (the slot-path
-//     chunk kernels) must contain no allocating constructs — make/new,
+//     chunk kernels and the protocol automata's Tick, which read a
+//     schedule computed once at construction) must contain no allocating
+//     constructs — make/new,
 //     map/slice literals, non-self append, interface boxing, capturing
 //     closures, fmt calls, string concatenation.
 //

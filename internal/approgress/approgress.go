@@ -179,8 +179,27 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate checks the configuration.
+// maxScheduleLen bounds every derived schedule length (slots per block,
+// phase and epoch). Lengths are evaluated in float64 and then converted to
+// integers; at 2^62 slots or beyond (or at NaN) the conversion and the int64
+// slot arithmetic would wrap, so Validate rejects such a configuration.
+const maxScheduleLen = 1 << 62
+
+// Validate checks the configuration: every parameter must be finite and in
+// range, and the derived epoch must be a positive length below
+// maxScheduleLen slots.
 func (c Config) Validate() error {
+	for _, p := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"Lambda", c.Lambda}, {"EpsApprog", c.EpsApprog}, {"Alpha", c.Alpha},
+		{"P", c.P}, {"QScale", c.QScale}, {"TFactor", c.TFactor}, {"DataFactor", c.DataFactor},
+	} {
+		if math.IsNaN(p.v) || math.IsInf(p.v, 0) {
+			return fmt.Errorf("approgress: %s = %v must be finite", p.name, p.v)
+		}
+	}
 	if c.Lambda < 1 {
 		return fmt.Errorf("approgress: Lambda = %v must be at least 1", c.Lambda)
 	}
@@ -194,21 +213,45 @@ func (c Config) Validate() error {
 	if d.P > 0.5 {
 		return fmt.Errorf("approgress: P = %v must not exceed 0.5", d.P)
 	}
+	// The epoch is the longest derived length and every block length is at
+	// least 1, so bounding it bounds them all.
+	epoch := float64(d.Phases) * ((2+float64(d.MISRounds))*d.blockLen() + d.dataLen())
+	if !(epoch >= 1 && epoch < maxScheduleLen) {
+		return fmt.Errorf("approgress: derived epoch length %v slots is not in [1, 2^62)", epoch)
+	}
 	return nil
 }
 
-// T returns the block length T (slots per discovery/confirmation block and
-// per MIS round).
-func (c Config) T() int {
+// blockLen returns T as a float64, before the integer conversion.
+func (c Config) blockLen() float64 {
 	c = c.withDefaults()
 	v := c.TFactor * math.Log2(math.Max(2, c.Lambda/c.EpsApprog))
 	if v < 4 {
 		v = 4
 	}
-	return int(math.Ceil(v))
+	return math.Ceil(v)
 }
 
-// Q returns the data-block probability divisor Q = Θ(log^α Λ).
+// dataLen returns the data-block length as a float64, before the integer
+// conversion.
+func (c Config) dataLen() float64 {
+	c = c.withDefaults()
+	v := c.DataFactor * c.Q() * math.Log2(math.Max(2, 1/c.EpsApprog))
+	if v < 8 {
+		v = 8
+	}
+	return math.Ceil(v)
+}
+
+// T returns the block length T (slots per discovery/confirmation block and
+// per MIS round). It is a construction-time value; Tick reads the cached
+// schedule.
+func (c Config) T() int {
+	return int(c.blockLen())
+}
+
+// Q returns the data-block probability divisor Q = Θ(log^α Λ). It is a
+// construction-time value; Tick reads the cached data probability P/Q.
 func (c Config) Q() float64 {
 	c = c.withDefaults()
 	v := c.QScale * math.Pow(math.Log2(math.Max(2, c.Lambda)), c.Alpha)
@@ -218,14 +261,10 @@ func (c Config) Q() float64 {
 	return math.Ceil(v)
 }
 
-// DataSlots returns the number of slots in one data block.
+// DataSlots returns the number of slots in one data block. It is a
+// construction-time value; Tick reads the cached schedule.
 func (c Config) DataSlots() int {
-	c = c.withDefaults()
-	v := c.DataFactor * c.Q() * math.Log2(math.Max(2, 1/c.EpsApprog))
-	if v < 8 {
-		v = 8
-	}
-	return int(math.Ceil(v))
+	return int(c.dataLen())
 }
 
 // PhaseCount returns Φ, the number of phases per epoch.
@@ -239,31 +278,57 @@ func (c Config) MISRoundCount() int {
 }
 
 // PhaseLen returns the number of slots in one phase: discovery (T) +
-// confirmation (T) + MIS rounds (MISRounds·T) + data block.
+// confirmation (T) + MIS rounds (MISRounds·T) + data block. It is a
+// construction-time value; Tick reads the cached schedule.
 func (c Config) PhaseLen() int64 {
 	t := int64(c.T())
 	return 2*t + int64(c.MISRoundCount())*t + int64(c.DataSlots())
 }
 
-// EpochLen returns the number of slots in one epoch.
+// EpochLen returns the number of slots in one epoch. It is a
+// construction-time value; Tick reads the cached schedule.
 func (c Config) EpochLen() int64 {
 	return int64(c.PhaseCount()) * c.PhaseLen()
 }
 
-// block boundaries within a phase.
-func (c Config) blockBounds() (discEnd, listEnd, misEnd int64) {
+// schedule is the Algorithm 9.1 slot schedule: every Config-derived value
+// Tick and Receive consult, evaluated once by NewAutomaton so that no slot
+// re-derives it (each field is the same float expression the accessors
+// compute, so the random draws are unchanged).
+type schedule struct {
+	epochLen int64
+	phaseLen int64
+	t        int64 // block length T; discovery ends at T, confirmation at 2T
+	misEnd   int64 // phase position where the data block starts
+
+	p     float64 // control-block transmission probability P
+	dataP float64 // data-block transmission probability P/Q
+
+	neighborThreshold int
+	labelRange        uint64
+}
+
+// newSchedule derives the schedule of a validated configuration.
+func newSchedule(c Config) schedule {
+	d := c.withDefaults()
 	t := int64(c.T())
-	discEnd = t
-	listEnd = 2 * t
-	misEnd = listEnd + int64(c.MISRoundCount())*t
-	return
+	return schedule{
+		epochLen:          c.EpochLen(),
+		phaseLen:          c.PhaseLen(),
+		t:                 t,
+		misEnd:            2*t + int64(d.MISRounds)*t,
+		p:                 d.P,
+		dataP:             d.P / c.Q(),
+		neighborThreshold: d.NeighborThreshold,
+		labelRange:        d.LabelRange,
+	}
 }
 
 // Automaton is the per-node Algorithm 9.1 state machine, ticked once per
 // protocol slot. It never acknowledges; acknowledgment is provided by the
 // other half of the combined MAC (Algorithm 11.1).
 type Automaton struct {
-	cfg    Config
+	sched  schedule
 	id     int
 	src    *rng.Source
 	onData func(core.Message)
@@ -307,7 +372,7 @@ func NewAutomaton(cfg Config, id int, src *rng.Source, onData func(core.Message)
 		return nil, fmt.Errorf("approgress: nil random source")
 	}
 	return &Automaton{
-		cfg:    cfg.withDefaults(),
+		sched:  newSchedule(cfg),
 		id:     id,
 		src:    src,
 		onData: onData,
@@ -354,17 +419,18 @@ func (a *Automaton) ProtocolSlot() int64 { return a.protoSlot }
 
 // Tick advances the automaton by one protocol slot; a transmission fills
 // the pooled frame f and returns true.
+//
+//sinrlint:hotpath
 func (a *Automaton) Tick(f *sim.Frame) bool {
 	slot := a.protoSlot
 	a.protoSlot++
 
-	epochLen := a.cfg.EpochLen()
-	phaseLen := a.cfg.PhaseLen()
-	epochPos := slot % epochLen
-	phase := int(epochPos / phaseLen)
-	phasePos := epochPos % phaseLen
-	discEnd, listEnd, misEnd := a.cfg.blockBounds()
-	t := int64(a.cfg.T())
+	s := &a.sched
+	epochPos := slot % s.epochLen
+	phase := int(epochPos / s.phaseLen)
+	phasePos := epochPos % s.phaseLen
+	t, misEnd := s.t, s.misEnd
+	discEnd, listEnd := t, 2*t
 
 	// Epoch boundary: recompute S₁ membership.
 	if epochPos == 0 {
@@ -397,7 +463,7 @@ func (a *Automaton) Tick(f *sim.Frame) bool {
 				a.processMISRound()
 			}
 			a.curRound = round
-			a.heardRound = make(map[int]MISPayload)
+			clear(a.heardRound)
 		}
 		return a.tickMIS(phase, round, f)
 	default:
@@ -409,20 +475,30 @@ func (a *Automaton) Tick(f *sim.Frame) bool {
 	}
 }
 
+// resetPhase starts a phase with empty per-phase state. The maps are
+// allocated the first time the node is a phase sender and reused, cleared,
+// from then on; a node that never sends keeps them nil, which is safe
+// because every write to them is guarded by phaseSender.
 func (a *Automaton) resetPhase() {
 	a.nextSender = false
-	a.label = a.src.Uint64()%a.cfg.LabelRange + 1
-	a.idCounts = make(map[int]int)
-	a.potentials = nil
-	a.confirmed = make(map[int][]int)
-	a.neighbors = make(map[int]bool)
+	a.label = a.src.Uint64()%a.sched.labelRange + 1
+	clear(a.idCounts)
+	a.potentials = a.potentials[:0]
+	clear(a.confirmed)
+	clear(a.neighbors)
 	a.misState = StateUndecided
-	a.heardRound = make(map[int]MISPayload)
+	clear(a.heardRound)
 	a.curRound = 0
+	if a.phaseSender && a.idCounts == nil {
+		a.idCounts = make(map[int]int)
+		a.confirmed = make(map[int][]int)
+		a.neighbors = make(map[int]bool)
+		a.heardRound = make(map[int]MISPayload)
+	}
 }
 
 func (a *Automaton) tickDiscovery(phase int, f *sim.Frame) bool {
-	if !a.phaseSender || !a.src.Bernoulli(a.cfg.P) {
+	if !a.phaseSender || !a.src.Bernoulli(a.sched.p) {
 		return false
 	}
 	a.idScratch = IDPayload{Phase: phase, ID: a.id}
@@ -435,9 +511,9 @@ func (a *Automaton) finalizePotentials() {
 	if !a.phaseSender {
 		return
 	}
-	var pots []int
+	pots := a.potentials[:0]
 	for id, count := range a.idCounts {
-		if count >= a.cfg.NeighborThreshold {
+		if count >= a.sched.neighborThreshold {
 			pots = append(pots, id)
 		}
 	}
@@ -446,7 +522,7 @@ func (a *Automaton) finalizePotentials() {
 }
 
 func (a *Automaton) tickList(phase int, f *sim.Frame) bool {
-	if !a.phaseSender || !a.src.Bernoulli(a.cfg.P) {
+	if !a.phaseSender || !a.src.Bernoulli(a.sched.p) {
 		return false
 	}
 	a.listScratch.Phase = phase
@@ -464,7 +540,6 @@ func (a *Automaton) finalizeNeighbors() {
 	if !a.phaseSender {
 		return
 	}
-	a.neighbors = make(map[int]bool)
 	for _, v := range a.potentials {
 		list, got := a.confirmed[v]
 		if !got {
@@ -480,7 +555,7 @@ func (a *Automaton) finalizeNeighbors() {
 }
 
 func (a *Automaton) tickMIS(phase, round int, f *sim.Frame) bool {
-	if !a.phaseSender || !a.src.Bernoulli(a.cfg.P) {
+	if !a.phaseSender || !a.src.Bernoulli(a.sched.p) {
 		return false
 	}
 	a.misScratch = MISPayload{
@@ -548,7 +623,7 @@ func (a *Automaton) tickData(f *sim.Frame) bool {
 	if !a.phaseSender || a.msg == nil {
 		return false
 	}
-	if !a.src.Bernoulli(a.cfg.P / a.cfg.Q()) {
+	if !a.src.Bernoulli(a.sched.dataP) {
 		return false
 	}
 	f.Kind = FrameData

@@ -1,6 +1,7 @@
 package approgress
 
 import (
+	"math"
 	"testing"
 
 	"sinrmac/internal/core"
@@ -26,16 +27,33 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig(16, 0.1, 3).Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
+	nan, inf := math.NaN(), math.Inf(1)
 	bad := []Config{
 		{Lambda: 0.5, EpsApprog: 0.1, Alpha: 3},
 		{Lambda: 16, EpsApprog: 0, Alpha: 3},
 		{Lambda: 16, EpsApprog: 1.2, Alpha: 3},
 		{Lambda: 16, EpsApprog: 0.1, Alpha: 2},
 		{Lambda: 16, EpsApprog: 0.1, Alpha: 3, P: 0.7},
+		// Non-finite parameters.
+		{Lambda: nan, EpsApprog: 0.1, Alpha: 3},
+		{Lambda: inf, EpsApprog: 0.1, Alpha: 3},
+		{Lambda: 16, EpsApprog: nan, Alpha: 3},
+		{Lambda: 16, EpsApprog: 0.1, Alpha: nan},
+		{Lambda: 16, EpsApprog: 0.1, Alpha: inf},
+		{Lambda: 16, EpsApprog: 0.1, Alpha: 3, P: nan},
+		{Lambda: 16, EpsApprog: 0.1, Alpha: 3, QScale: inf},
+		{Lambda: 16, EpsApprog: 0.1, Alpha: 3, TFactor: nan},
+		{Lambda: 16, EpsApprog: 0.1, Alpha: 3, DataFactor: inf},
+		// Finite parameters whose derived epoch overflows.
+		{Lambda: 1e6, EpsApprog: 0.1, Alpha: 60},
+		{Lambda: 1e300, EpsApprog: 1e-300, Alpha: 3},
+		{Lambda: 16, EpsApprog: 0.1, Alpha: 3, TFactor: 1e300},
+		{Lambda: 16, EpsApprog: 0.1, Alpha: 3, Phases: 1 << 60},
+		{Lambda: 16, EpsApprog: 0.1, Alpha: 3, MISRounds: 1 << 60},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
-			t.Fatalf("bad config %d validated", i)
+			t.Fatalf("bad config %d (%+v) validated", i, c)
 		}
 	}
 }
@@ -91,7 +109,7 @@ func TestAutomatonIdleWithoutBroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := int64(0); i < aut.cfg.EpochLen()+10; i++ {
+	for i := int64(0); i < aut.sched.epochLen+10; i++ {
 		if tick(aut) != nil {
 			t.Fatal("idle automaton transmitted")
 		}
@@ -380,3 +398,71 @@ type captureLayer struct {
 
 func (l *captureLayer) OnRcv(slot int64, m core.Message) { l.rcvs = append(l.rcvs, m) }
 func (l *captureLayer) OnAck(slot int64, m core.Message) { l.acks = append(l.acks, m) }
+
+// TestAutomatonTickAllocFree holds a node outside the sender set — the
+// common case in every run — to zero allocations per Tick and Receive,
+// across every phase and MIS-round boundary of two epochs.
+func TestAutomatonTickAllocFree(t *testing.T) {
+	cfg := testConfig(8)
+	aut, err := NewAutomaton(cfg, 3, rng.New(1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := []sim.Frame{
+		{From: 1, Kind: FrameID, Payload: &IDPayload{ID: 1}},
+		{From: 1, Kind: FrameList, Payload: &ListPayload{ID: 1, Potentials: []int{3}}},
+		{From: 1, Kind: FrameMIS, Payload: &MISPayload{ID: 1}},
+		{From: 1, Kind: FrameData, Msg: core.Message{ID: 1, Origin: 1}},
+	}
+	// One run spans two whole epochs, so an allocation made only at phase
+	// or round boundaries still counts (AllocsPerRun rounds per-run
+	// averages down).
+	var f sim.Frame
+	span := 2 * cfg.EpochLen()
+	allocs := testing.AllocsPerRun(2, func() {
+		for i := int64(0); i < span; i++ {
+			aut.Tick(&f)
+			aut.Receive(&frames[i%int64(len(frames))])
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("non-sender automaton allocates %v objects per two epochs (%d slots), want 0", allocs, span)
+	}
+}
+
+func TestNodeInitErrorSurfaced(t *testing.T) {
+	bad := DefaultConfig(math.NaN(), 0.1, 3)
+	n := NewNode(bad, 10, nil)
+	n.Init(0, rng.New(1))
+	if n.InitError() == nil {
+		t.Fatal("InitError() = nil for an invalid config")
+	}
+	var f sim.Frame
+	if n.Tick(0, &f) {
+		t.Fatal("failed node transmitted")
+	}
+	n.Receive(1, &sim.Frame{Kind: FrameData, Msg: core.Message{ID: 1, Origin: 1}})
+	n.Bcast(1, core.Message{ID: 2, Origin: 0})
+	if n.Busy() {
+		t.Fatal("failed node accepted a broadcast")
+	}
+	n.Abort(2, 2)
+
+	d, err := topology.Line(2, 2, sinr.DefaultParams(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := d.Channel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := []sim.Node{NewNode(testConfig(8), 0, nil), NewNode(bad, 0, nil)}
+	if _, err := sim.NewEngine(ch, nodes, sim.Config{Seed: 1}); err == nil {
+		t.Fatal("NewEngine accepted a node with an invalid config")
+	}
+	ok := NewNode(testConfig(8), 0, nil)
+	ok.Init(0, rng.New(1))
+	if err := ok.InitError(); err != nil {
+		t.Fatalf("InitError() = %v for a valid config", err)
+	}
+}

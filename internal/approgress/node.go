@@ -1,6 +1,8 @@
 package approgress
 
 import (
+	"fmt"
+
 	"sinrmac/internal/core"
 	"sinrmac/internal/rng"
 	"sinrmac/internal/sim"
@@ -17,10 +19,11 @@ type Node struct {
 	ackAfter int64
 	recorder *core.Recorder
 
-	id    int
-	src   *rng.Source
-	aut   *Automaton
-	layer core.Layer
+	id      int
+	src     *rng.Source
+	aut     *Automaton
+	layer   core.Layer
+	initErr error
 
 	cur       *core.Message
 	bcastSlot int64
@@ -29,8 +32,9 @@ type Node struct {
 }
 
 var (
-	_ sim.Node = (*Node)(nil)
-	_ core.MAC = (*Node)(nil)
+	_ sim.Node          = (*Node)(nil)
+	_ sim.NodeInitError = (*Node)(nil)
+	_ core.MAC          = (*Node)(nil)
 )
 
 // NewNode returns a standalone Algorithm 9.1 node. ackAfter is the number
@@ -40,19 +44,27 @@ func NewNode(cfg Config, ackAfter int64, recorder *core.Recorder) *Node {
 	return &Node{cfg: cfg, ackAfter: ackAfter, recorder: recorder, seen: make(map[core.MessageID]bool)}
 }
 
-// Init implements sim.Node.
+// Init implements sim.Node. An invalid configuration is recorded rather
+// than panicking inside library code; the engine reads it back through
+// InitError (sim.NodeInitError) right after Init and returns it to its
+// caller, and Tick and Receive are no-ops on such a node.
 func (n *Node) Init(id int, src *rng.Source) {
 	n.id = id
 	n.src = src
+	n.aut, n.initErr = nil, nil
 	aut, err := NewAutomaton(n.cfg, id, src.Split(), n.onData)
 	if err != nil {
-		panic(err)
+		n.initErr = fmt.Errorf("approgress: automaton for node %d: %w", id, err)
+		return
 	}
 	n.aut = aut
 	if n.layer != nil {
 		n.layer.Attach(id, n, src.Split())
 	}
 }
+
+// InitError implements sim.NodeInitError.
+func (n *Node) InitError() error { return n.initErr }
 
 // Automaton exposes the underlying Algorithm 9.1 automaton for tests and
 // instrumentation.
@@ -66,7 +78,7 @@ func (n *Node) Busy() bool { return n.cur != nil }
 
 // Bcast implements core.MAC.
 func (n *Node) Bcast(slot int64, m core.Message) {
-	if n.cur != nil {
+	if n.cur != nil || n.aut == nil {
 		return
 	}
 	cp := m
@@ -78,7 +90,7 @@ func (n *Node) Bcast(slot int64, m core.Message) {
 
 // Abort implements core.MAC.
 func (n *Node) Abort(slot int64, id core.MessageID) {
-	if n.cur == nil || n.cur.ID != id {
+	if n.cur == nil || n.cur.ID != id || n.aut == nil {
 		return
 	}
 	n.record(core.Event{Kind: core.EventAbort, Node: n.id, Msg: *n.cur, Slot: slot})
@@ -89,6 +101,9 @@ func (n *Node) Abort(slot int64, id core.MessageID) {
 // Tick implements sim.Node.
 func (n *Node) Tick(slot int64, f *sim.Frame) bool {
 	n.curSlot = slot
+	if n.aut == nil {
+		return false // Init failed; the engine surfaces InitError instead
+	}
 	if n.layer != nil {
 		n.layer.OnSlot(slot)
 	}
@@ -107,6 +122,9 @@ func (n *Node) Tick(slot int64, f *sim.Frame) bool {
 // Receive implements sim.Node.
 func (n *Node) Receive(slot int64, f *sim.Frame) {
 	n.curSlot = slot
+	if n.aut == nil {
+		return
+	}
 	n.aut.Receive(f)
 }
 

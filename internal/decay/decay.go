@@ -57,31 +57,61 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate checks the configuration.
+// maxScheduleLen bounds the derived acknowledgment length. Lengths are
+// evaluated in float64 and then converted to integers; at 2^62 slots or
+// beyond (or at NaN) the conversion and the int64 slot arithmetic would
+// wrap, so Validate rejects such a configuration.
+const maxScheduleLen = 1 << 62
+
+// Validate checks the configuration: every parameter must be finite and in
+// range, and the derived acknowledgment length must be positive and below
+// maxScheduleLen slots.
 func (c Config) Validate() error {
+	for _, p := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"DeltaBound", c.DeltaBound}, {"EpsAck", c.EpsAck}, {"AckPhaseFactor", c.AckPhaseFactor},
+	} {
+		if math.IsNaN(p.v) || math.IsInf(p.v, 0) {
+			return fmt.Errorf("decay: %s = %v must be finite", p.name, p.v)
+		}
+	}
 	if c.DeltaBound < 1 {
 		return fmt.Errorf("decay: DeltaBound = %v must be at least 1", c.DeltaBound)
 	}
 	if c.EpsAck <= 0 || c.EpsAck >= 1 {
 		return fmt.Errorf("decay: EpsAck = %v must lie in (0, 1)", c.EpsAck)
 	}
+	// A finite DeltaBound keeps PhaseLen within the halvings table; the
+	// phase count is what can overflow.
+	if l := c.ackPhases() * float64(c.PhaseLen()); !(l >= 1 && l < maxScheduleLen) {
+		return fmt.Errorf("decay: derived AckSlots = %v is not in [1, 2^62)", l)
+	}
 	return nil
 }
 
-// PhaseLen returns the number of slots in one decay phase.
+// PhaseLen returns the number of slots in one decay phase. It is a
+// construction-time value; Tick reads the cached schedule.
 func (c Config) PhaseLen() int {
 	return int(math.Ceil(math.Log2(math.Max(2, c.DeltaBound)))) + 1
 }
 
-// AckPhases returns the number of phases after which a broadcasting node
-// acknowledges.
-func (c Config) AckPhases() int {
+// ackPhases returns AckPhases as a float64, before the integer conversion.
+func (c Config) ackPhases() float64 {
 	c = c.withDefaults()
 	v := c.AckPhaseFactor * (c.DeltaBound + math.Log2(1/c.EpsAck))
 	if v < 1 {
 		v = 1
 	}
-	return int(math.Ceil(v))
+	return math.Ceil(v)
+}
+
+// AckPhases returns the number of phases after which a broadcasting node
+// acknowledges. It is a construction-time value; Tick reads the cached
+// schedule.
+func (c Config) AckPhases() int {
+	return int(c.ackPhases())
 }
 
 // AckSlots returns the total number of protocol slots before the
@@ -90,10 +120,30 @@ func (c Config) AckSlots() int64 {
 	return int64(c.AckPhases()) * int64(c.PhaseLen())
 }
 
+// halvings[j] is 2^-j, the transmission probability in slot j of a decay
+// phase. Halving a power of two is exact down to the smallest subnormal, so
+// every entry equals math.Pow(2, -j) bit for bit. A finite DeltaBound gives
+// PhaseLen ≤ ⌈log₂ MaxFloat64⌉+1 = 1025, the table's length.
+var halvings = func() (h [1025]float64) {
+	p := 1.0
+	for j := range h {
+		h[j] = p
+		p /= 2
+	}
+	return h
+}()
+
+// schedule is the Decay schedule Tick consults, evaluated once by
+// NewAutomaton; the per-slot probability is halvings[slot in phase].
+type schedule struct {
+	phaseLen  int
+	ackPhases int
+}
+
 // Automaton is the per-node Decay state machine, ticked once per protocol
 // slot.
 type Automaton struct {
-	cfg    Config
+	sched  schedule
 	src    *rng.Source
 	onData func(core.Message)
 
@@ -113,7 +163,8 @@ func NewAutomaton(cfg Config, src *rng.Source, onData func(core.Message)) (*Auto
 	if src == nil {
 		return nil, fmt.Errorf("decay: nil random source")
 	}
-	return &Automaton{cfg: cfg.withDefaults(), src: src, onData: onData}, nil
+	sched := schedule{phaseLen: cfg.PhaseLen(), ackPhases: cfg.AckPhases()}
+	return &Automaton{sched: sched, src: src, onData: onData}, nil
 }
 
 // Start begins the Decay broadcast of m.
@@ -139,17 +190,18 @@ func (a *Automaton) Done() bool { return a.active && a.done }
 
 // Tick advances the automaton one protocol slot; a transmission fills the
 // pooled frame f and returns true.
+//
+//sinrlint:hotpath
 func (a *Automaton) Tick(f *sim.Frame) bool {
 	if !a.Active() {
 		return false
 	}
-	p := math.Pow(2, -float64(a.slotInPh))
-	send := a.src.Bernoulli(p)
+	send := a.src.Bernoulli(halvings[a.slotInPh])
 	a.slotInPh++
-	if a.slotInPh >= a.cfg.PhaseLen() {
+	if a.slotInPh >= a.sched.phaseLen {
 		a.slotInPh = 0
 		a.phaseDone++
-		if a.phaseDone >= a.cfg.AckPhases() {
+		if a.phaseDone >= a.sched.ackPhases {
 			a.done = true
 		}
 	}

@@ -1,6 +1,7 @@
 package decay
 
 import (
+	"math"
 	"testing"
 
 	"sinrmac/internal/core"
@@ -15,14 +16,24 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig(16, 0.1).Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
+	nan, inf := math.NaN(), math.Inf(1)
 	bad := []Config{
 		{DeltaBound: 0.5, EpsAck: 0.1},
 		{DeltaBound: 16, EpsAck: 0},
 		{DeltaBound: 16, EpsAck: 1.5},
+		// Non-finite parameters.
+		{DeltaBound: nan, EpsAck: 0.1},
+		{DeltaBound: inf, EpsAck: 0.1},
+		{DeltaBound: 16, EpsAck: nan},
+		{DeltaBound: 16, EpsAck: 0.1, AckPhaseFactor: inf},
+		{DeltaBound: 16, EpsAck: 0.1, AckPhaseFactor: nan},
+		// Finite parameters whose derived AckSlots overflows.
+		{DeltaBound: 1e300, EpsAck: 0.1},
+		{DeltaBound: 16, EpsAck: 0.1, AckPhaseFactor: 1e18},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
-			t.Fatalf("bad config %d validated", i)
+			t.Fatalf("bad config %d (%+v) validated", i, c)
 		}
 	}
 }

@@ -87,8 +87,27 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate checks the configuration.
+// maxScheduleLen bounds every derived length (slots per step, the
+// fall-back count and MaxSlots). Lengths are evaluated in float64 and then
+// converted to integers; at 2^62 or beyond (or at NaN) the conversion would
+// wrap, so Validate rejects such a configuration.
+const maxScheduleLen = 1 << 62
+
+// Validate checks the configuration: every parameter must be finite and in
+// range, and every derived length must be positive and below
+// maxScheduleLen.
 func (c Config) Validate() error {
+	for _, p := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"Lambda", c.Lambda}, {"EpsAck", c.EpsAck}, {"StepFactor", c.StepFactor},
+		{"HaltFactor", c.HaltFactor}, {"FallbackFactor", c.FallbackFactor}, {"PMax", c.PMax},
+	} {
+		if math.IsNaN(p.v) || math.IsInf(p.v, 0) {
+			return fmt.Errorf("hmbcast: %s = %v must be finite", p.name, p.v)
+		}
+	}
 	if c.Lambda < 1 {
 		return fmt.Errorf("hmbcast: Lambda = %v must be at least 1", c.Lambda)
 	}
@@ -98,6 +117,16 @@ func (c Config) Validate() error {
 	c = c.withDefaults()
 	if c.PMax > 0.5 {
 		return fmt.Errorf("hmbcast: PMax = %v must not exceed 0.5", c.PMax)
+	}
+	for _, l := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"StepLen", c.stepLen()}, {"FallbackThreshold", c.fallbackThreshold()}, {"MaxSlots", c.maxSlots()},
+	} {
+		if !(l.v >= 1 && l.v < maxScheduleLen) {
+			return fmt.Errorf("hmbcast: derived %s = %v is not in [1, 2^62)", l.name, l.v)
+		}
 	}
 	return nil
 }
@@ -117,28 +146,47 @@ func (c Config) logTerm() float64 {
 	return v
 }
 
-// StepLen returns the number of slots spent at each probability level.
-func (c Config) StepLen() int {
+// stepLen returns StepLen as a float64, before the integer conversion.
+func (c Config) stepLen() float64 {
 	c = c.withDefaults()
-	return int(math.Ceil(c.StepFactor * c.logTerm()))
+	return math.Ceil(c.StepFactor * c.logTerm())
+}
+
+// fallbackThreshold returns FallbackThreshold as a float64, before the
+// integer conversion.
+func (c Config) fallbackThreshold() float64 {
+	c = c.withDefaults()
+	v := c.FallbackFactor * math.Log2(2*c.ContentionBound()/c.EpsAck)
+	if v < 1 {
+		v = 1
+	}
+	return math.Ceil(v)
+}
+
+// maxSlots returns MaxSlots as a float64, before the integer conversion.
+func (c Config) maxSlots() float64 {
+	return math.Ceil(128 * c.ContentionBound() * c.HaltBudget())
+}
+
+// StepLen returns the number of slots spent at each probability level. It
+// is a construction-time value; Tick reads the cached schedule.
+func (c Config) StepLen() int {
+	return int(c.stepLen())
 }
 
 // HaltBudget returns the accumulated-probability budget after which the
-// node halts and acknowledges.
+// node halts and acknowledges. It is a construction-time value; Tick reads
+// the cached schedule.
 func (c Config) HaltBudget() float64 {
 	c = c.withDefaults()
 	return c.HaltFactor * c.logTerm()
 }
 
 // FallbackThreshold returns the number of overheard messages at one
-// probability level that triggers a fall-back.
+// probability level that triggers a fall-back. It is a construction-time
+// value; Receive reads the cached schedule.
 func (c Config) FallbackThreshold() int {
-	c = c.withDefaults()
-	v := c.FallbackFactor * math.Log2(2*c.ContentionBound()/c.EpsAck)
-	if v < 1 {
-		v = 1
-	}
-	return int(math.Ceil(v))
+	return int(c.fallbackThreshold())
 }
 
 // MaxSlots returns a hard upper bound on the number of protocol slots
@@ -146,14 +194,41 @@ func (c Config) FallbackThreshold() int {
 // 1/(128·Ñ), so the budget is exhausted after at most 128·Ñ·HaltBudget
 // slots.
 func (c Config) MaxSlots() int64 {
-	return int64(math.Ceil(128 * c.ContentionBound() * c.HaltBudget()))
+	return int64(c.maxSlots())
+}
+
+// schedule is the Algorithm B.1 schedule: every Config-derived value Tick,
+// Receive and Start consult, evaluated once by NewAutomaton (each field is
+// the same float expression the accessors compute, so the random draws are
+// unchanged).
+type schedule struct {
+	stepLen           int
+	haltBudget        float64
+	fallbackThreshold int
+	pMax              float64
+	pFloor            float64 // 1/(128·Ñ): the probability never falls below it
+	pStart            float64 // the probability after lines 2 and 4
+}
+
+// newSchedule derives the schedule of a validated configuration.
+func newSchedule(c Config) schedule {
+	nTilde := c.ContentionBound()
+	pFloor := 1 / (128 * nTilde)
+	return schedule{
+		stepLen:           c.StepLen(),
+		haltBudget:        c.HaltBudget(),
+		fallbackThreshold: c.FallbackThreshold(),
+		pMax:              c.withDefaults().PMax,
+		pFloor:            pFloor,
+		pStart:            math.Max(pFloor, (1/(4*nTilde))/32),
+	}
 }
 
 // Automaton is the per-node algorithm state machine. It is ticked once per
 // protocol slot (which may be every engine slot for the standalone MAC, or
 // every other slot inside the combined MAC of Algorithm 11.1).
 type Automaton struct {
-	cfg    Config
+	sched  schedule
 	src    *rng.Source
 	onData func(m core.Message)
 
@@ -165,7 +240,6 @@ type Automaton struct {
 	totalProb  float64
 	rcvCount   int
 	slotInStep int
-	stepLen    int
 }
 
 // NewAutomaton returns an automaton with the given configuration. onData is
@@ -178,12 +252,7 @@ func NewAutomaton(cfg Config, src *rng.Source, onData func(core.Message)) (*Auto
 	if src == nil {
 		return nil, fmt.Errorf("hmbcast: nil random source")
 	}
-	return &Automaton{
-		cfg:     cfg.withDefaults(),
-		src:     src,
-		onData:  onData,
-		stepLen: cfg.StepLen(),
-	}, nil
+	return &Automaton{sched: newSchedule(cfg), src: src, onData: onData}, nil
 }
 
 // Start begins the local broadcast of m, resetting the algorithm state.
@@ -195,8 +264,7 @@ func (a *Automaton) Start(m core.Message) {
 	a.rcvCount = 0
 	a.slotInStep = 0
 	// Line 2 followed by the first execution of line 4 of Algorithm B.1.
-	nTilde := a.cfg.ContentionBound()
-	a.p = math.Max(1/(128*nTilde), (1/(4*nTilde))/32)
+	a.p = a.sched.pStart
 }
 
 // Abort cancels the ongoing broadcast.
@@ -219,22 +287,24 @@ func (a *Automaton) Probability() float64 { return a.p }
 
 // Tick advances the automaton by one protocol slot; a transmission fills
 // the pooled frame f and returns true.
+//
+//sinrlint:hotpath
 func (a *Automaton) Tick(f *sim.Frame) bool {
 	if !a.Active() {
 		return false
 	}
 	// Line 7: double the probability at the start of every step.
 	if a.slotInStep == 0 {
-		a.p = math.Min(a.cfg.PMax, 2*a.p)
+		a.p = math.Min(a.sched.pMax, 2*a.p)
 	}
 	send := a.src.Bernoulli(a.p)
 	a.totalProb += a.p
 	a.slotInStep++
-	if a.slotInStep >= a.stepLen {
+	if a.slotInStep >= a.sched.stepLen {
 		a.slotInStep = 0
 	}
 	// Line 14: halt once the probability budget is exhausted.
-	if a.totalProb > a.cfg.HaltBudget() {
+	if a.totalProb > a.sched.haltBudget {
 		a.done = true
 	}
 	if !send {
@@ -260,9 +330,8 @@ func (a *Automaton) Receive(f *sim.Frame) {
 	// Lines 17-21: count overheard messages; fall back when the channel is
 	// evidently busy at the current probability level.
 	a.rcvCount++
-	if a.rcvCount > a.cfg.FallbackThreshold() {
-		nTilde := a.cfg.ContentionBound()
-		a.p = math.Max(1/(128*nTilde), a.p/32)
+	if a.rcvCount > a.sched.fallbackThreshold {
+		a.p = math.Max(a.sched.pFloor, a.p/32)
 		a.rcvCount = 0
 		a.slotInStep = 0
 	}

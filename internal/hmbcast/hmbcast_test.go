@@ -1,6 +1,7 @@
 package hmbcast
 
 import (
+	"math"
 	"testing"
 
 	"sinrmac/internal/core"
@@ -12,15 +13,30 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig(16, 0.1).Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
+	nan, inf := math.NaN(), math.Inf(1)
 	bad := []Config{
 		{Lambda: 0.5, EpsAck: 0.1},
 		{Lambda: 16, EpsAck: 0},
 		{Lambda: 16, EpsAck: 1},
 		{Lambda: 16, EpsAck: 0.1, PMax: 0.9},
+		// Non-finite parameters.
+		{Lambda: nan, EpsAck: 0.1},
+		{Lambda: inf, EpsAck: 0.1},
+		{Lambda: 16, EpsAck: nan},
+		{Lambda: 16, EpsAck: 0.1, StepFactor: inf},
+		{Lambda: 16, EpsAck: 0.1, HaltFactor: nan},
+		{Lambda: 16, EpsAck: 0.1, FallbackFactor: inf},
+		{Lambda: 16, EpsAck: 0.1, PMax: nan},
+		// Finite parameters whose derived lengths overflow (Ñ = 4Λ² is +Inf
+		// at Λ = 1e200; MaxSlots passes 2^62 at Λ = 1e9).
+		{Lambda: 1e200, EpsAck: 0.1},
+		{Lambda: 1e9, EpsAck: 0.1},
+		{Lambda: 16, EpsAck: 0.1, StepFactor: 1e300},
+		{Lambda: 16, EpsAck: 0.1, FallbackFactor: 1e300},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
-			t.Fatalf("bad config %d validated", i)
+			t.Fatalf("bad config %d (%+v) validated", i, c)
 		}
 	}
 }

@@ -96,6 +96,43 @@ func TestInitErrorSurfaced(t *testing.T) {
 	}
 }
 
+// TestAutomatonTickAllocFree holds an idle combined-MAC node — no ongoing
+// broadcast, outside every sender set — to zero allocations per Tick and
+// Receive over two approximate-progress epochs. The frames it
+// hears cover both halves' kinds; the data message was delivered once
+// before measuring, so its repeats take the duplicate path.
+func TestAutomatonTickAllocFree(t *testing.T) {
+	cfg := testConfig(8)
+	n := New(cfg, nil)
+	n.Init(3, rng.New(1))
+	if err := n.InitError(); err != nil {
+		t.Fatal(err)
+	}
+	m := core.Message{ID: 1, Origin: 1}
+	frames := []sim.Frame{
+		{From: 1, Kind: approgress.FrameID, Payload: &approgress.IDPayload{ID: 1}},
+		{From: 1, Kind: approgress.FrameList, Payload: &approgress.ListPayload{ID: 1, Potentials: []int{3}}},
+		{From: 1, Kind: approgress.FrameMIS, Payload: &approgress.MISPayload{ID: 1}},
+		{From: 1, Kind: approgress.FrameData, Msg: m},
+		{From: 1, Kind: hmbcast.FrameKind, Msg: m},
+	}
+	n.Receive(0, &frames[3])
+	// One run spans two whole epochs, so an allocation made only at phase
+	// or round boundaries still counts (AllocsPerRun rounds per-run
+	// averages down).
+	var f sim.Frame
+	slot, span := int64(0), 2*cfg.EpochLen()
+	allocs := testing.AllocsPerRun(2, func() {
+		for end := slot + span; slot < end; slot++ {
+			n.Tick(slot, &f)
+			n.Receive(slot, &frames[slot%int64(len(frames))])
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("idle node allocates %v objects per two epochs (%d slots), want 0", allocs, span)
+	}
+}
+
 // oneShotLayer broadcasts a single message at a given slot and records
 // callbacks.
 type oneShotLayer struct {
