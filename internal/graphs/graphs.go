@@ -1,6 +1,8 @@
 // Package graphs provides the graph machinery the paper layers on top of
 // the SINR model: generic undirected graphs with hop distances, diameters
-// and neighbourhoods (Section 4.1), SINR-induced strong-connectivity graphs
+// and neighbourhoods (Section 4.1; the diameter D, in which the paper states
+// its global bounds, is computed exactly from a few bounded BFS sweeps
+// rather than one BFS per node), SINR-induced strong-connectivity graphs
 // G_a (Section 4.3), maximal-independent-set computations for
 // growth-bounded graphs (used by Algorithm 9.1), and the Λ edge-length
 // ratio.
@@ -107,57 +109,156 @@ func (g *Graph) MaxDegree() int {
 	return max
 }
 
+// bfsBuf is the scratch state of a breadth-first search: dist holds the hop
+// distance from the last source (-1 for nodes it did not reach) and queue
+// lists the nodes it reached, in BFS order. Successive searches share one
+// buffer; each resets only the dist entries the previous one set.
+type bfsBuf struct {
+	dist  []int
+	queue []int
+}
+
+func newBFSBuf(n int) *bfsBuf {
+	b := &bfsBuf{dist: make([]int, n), queue: make([]int, 0, n)}
+	for i := range b.dist {
+		b.dist[i] = -1
+	}
+	return b
+}
+
+// bfs runs a breadth-first search from src into b and returns the
+// eccentricity of src, the distance of the last node reached.
+func (g *Graph) bfs(b *bfsBuf, src int) int {
+	for _, u := range b.queue {
+		b.dist[u] = -1
+	}
+	b.dist[src] = 0
+	b.queue = append(b.queue[:0], src)
+	for head := 0; head < len(b.queue); head++ {
+		u := b.queue[head]
+		next := b.dist[u] + 1
+		for _, v := range g.adj[u] {
+			if b.dist[v] < 0 {
+				b.dist[v] = next
+				b.queue = append(b.queue, v)
+			}
+		}
+	}
+	return b.dist[b.queue[len(b.queue)-1]]
+}
+
 // BFS returns the hop distance from src to every node; unreachable nodes
 // get -1.
 func (g *Graph) BFS(src int) []int {
 	g.check(src)
-	dist := make([]int, g.n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.adj[u] {
-			if dist[v] < 0 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
+	b := newBFSBuf(g.n)
+	g.bfs(b, src)
+	return b.dist
 }
 
 // HopDist returns the hop distance between u and v, or -1 if v is
-// unreachable from u.
+// unreachable from u. It panics if either node is out of range.
 func (g *Graph) HopDist(u, v int) int {
+	g.check(v)
 	return g.BFS(u)[v]
 }
 
 // Eccentricity returns the largest finite hop distance from src to any
 // reachable node.
 func (g *Graph) Eccentricity(src int) int {
-	max := 0
-	for _, d := range g.BFS(src) {
-		if d > max {
-			max = d
-		}
-	}
-	return max
+	g.check(src)
+	return g.bfs(newBFSBuf(g.n), src)
 }
 
 // Diameter returns D_G, the maximum hop distance between any two nodes in
 // the same connected component. For a graph with no edges it returns 0.
+//
+// The result is exact and deterministic. It comes from the
+// bounding-eccentricities method of Takes and Kosters ("Determining the
+// diameter of small world networks", CIKM 2011; the iFUB method of
+// Crescenzi et al., TCS 2013, uses the same bounds), run per connected
+// component. A BFS from v, whose eccentricity is e, tightens the
+// eccentricity bounds of every node w of the component to
+// lo[w] ≥ max(d(v,w), e−d(v,w)) and hi[w] ≤ e+d(v,w). The component's
+// diameter lies between ΔL = max lo and ΔU = max hi, and the search stops
+// when the two meet. The next source alternates between the candidate with
+// the largest hi and the candidate with the smallest lo, ties going to the
+// lowest node id. A node stops being a candidate once its eccentricity is
+// known (lo = hi) or once it can move neither bound (hi ≤ ΔL and
+// 2·lo ≥ ΔU). A source's own bounds meet, so no node is a source twice:
+// the worst case is one BFS per node of the component, which cycles and
+// cliques reach. On the uniform deployments the simulator runs, a handful
+// of BFS runs suffice.
 func (g *Graph) Diameter() int {
-	max := 0
-	for u := 0; u < g.n; u++ {
-		if e := g.Eccentricity(u); e > max {
-			max = e
+	return g.diameter(nil)
+}
+
+// diameter computes Diameter. When visit is non-nil it is called once per
+// connected component, in order of smallest node, with the component's
+// size and the number of BFS runs spent on it.
+func (g *Graph) diameter(visit func(size, runs int)) int {
+	b := newBFSBuf(g.n)
+	lo := make([]int, g.n)
+	hi := make([]int, g.n)
+	seen := make([]bool, g.n)
+	// cand has its own backing array: b.queue is rewritten by every BFS
+	// and walked by the next one's reset.
+	var cand []int
+	diam := 0
+	for root := 0; root < g.n; root++ {
+		if seen[root] {
+			continue
+		}
+		// The discovery BFS: its queue is the component, whose members start
+		// from the trivial bounds 0 ≤ ecc < n.
+		ecc := g.bfs(b, root)
+		for _, w := range b.queue {
+			seen[w] = true
+			lo[w], hi[w] = 0, g.n
+		}
+		cand = append(cand[:0], b.queue...)
+		runs := 1
+		for maxHi := true; ; maxHi = !maxHi {
+			// Every BFS reaches exactly the component, so b.queue lists it.
+			dl, du := 0, 0
+			for _, w := range b.queue {
+				d := b.dist[w]
+				lo[w] = max(lo[w], d, ecc-d)
+				hi[w] = min(hi[w], ecc+d)
+				dl = max(dl, lo[w])
+				du = max(du, hi[w])
+			}
+			if dl == du {
+				diam = max(diam, dl)
+				break
+			}
+			// Prune and pick the next source in one pass. Some candidate
+			// survives: were all pruned, every node would have hi ≤ ΔL.
+			kept := cand[:0]
+			src := -1
+			for _, w := range cand {
+				if lo[w] == hi[w] || hi[w] <= dl && 2*lo[w] >= du {
+					continue
+				}
+				kept = append(kept, w)
+				switch {
+				case src < 0:
+					src = w
+				case maxHi && (hi[w] > hi[src] || hi[w] == hi[src] && w < src):
+					src = w
+				case !maxHi && (lo[w] < lo[src] || lo[w] == lo[src] && w < src):
+					src = w
+				}
+			}
+			cand = kept
+			ecc = g.bfs(b, src)
+			runs++
+		}
+		if visit != nil {
+			visit(len(b.queue), runs)
 		}
 	}
-	return max
+	return diam
 }
 
 // IsConnected reports whether the graph is connected (the empty graph and
@@ -166,36 +267,25 @@ func (g *Graph) IsConnected() bool {
 	if g.n <= 1 {
 		return true
 	}
-	for _, d := range g.BFS(0) {
-		if d < 0 {
-			return false
-		}
-	}
-	return true
+	b := newBFSBuf(g.n)
+	g.bfs(b, 0)
+	return len(b.queue) == g.n
 }
 
 // Components returns the connected components as sorted node lists, ordered
 // by their smallest node.
 func (g *Graph) Components() [][]int {
+	b := newBFSBuf(g.n)
 	seen := make([]bool, g.n)
 	var comps [][]int
 	for u := 0; u < g.n; u++ {
 		if seen[u] {
 			continue
 		}
-		var comp []int
-		queue := []int{u}
-		seen[u] = true
-		for len(queue) > 0 {
-			x := queue[0]
-			queue = queue[1:]
-			comp = append(comp, x)
-			for _, v := range g.adj[x] {
-				if !seen[v] {
-					seen[v] = true
-					queue = append(queue, v)
-				}
-			}
+		g.bfs(b, u)
+		comp := append([]int(nil), b.queue...)
+		for _, w := range comp {
+			seen[w] = true
 		}
 		sort.Ints(comp)
 		comps = append(comps, comp)
