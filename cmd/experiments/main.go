@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	experiments [-exp name|all] [-quick] [-seed N] [-trials N] [-workers N] [-o file]
+//	experiments [-exp name|all] [-quick] [-seed N] [-trials N] [-workers N] [-o file] [-cpuprofile file]
 //
 // Experiment names: ack, proglb, approg, decay, smb, mmb, cons.
 //
@@ -25,6 +25,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime/pprof"
 	"strings"
 	"sync/atomic"
 
@@ -40,15 +41,30 @@ const exitInterrupted = 130
 
 func run() int {
 	var (
-		expName = flag.String("exp", "all", "experiment to run ("+strings.Join(exp.Names(), ", ")+" or all)")
-		quick   = flag.Bool("quick", false, "shrink all sweeps so the suite finishes in seconds")
-		seed    = flag.Uint64("seed", 1, "random seed for deployments and simulations")
-		trials  = flag.Int("trials", 0, "repetitions per data point (0 = per-experiment default)")
-		workers = flag.Int("workers", 0, "concurrent trial workers (0 = GOMAXPROCS, 1 = sequential; tables are identical at any count)")
-		batch   = flag.Int("batch", 0, "engine micro-batch size in slots (0 = auto; tables are identical at any value)")
-		outPath = flag.String("o", "", "also write the tables to this file")
+		expName    = flag.String("exp", "all", "experiment to run ("+strings.Join(exp.Names(), ", ")+" or all)")
+		quick      = flag.Bool("quick", false, "shrink all sweeps so the suite finishes in seconds")
+		seed       = flag.Uint64("seed", 1, "random seed for deployments and simulations")
+		trials     = flag.Int("trials", 0, "repetitions per data point (0 = per-experiment default)")
+		workers    = flag.Int("workers", 0, "concurrent trial workers (0 = GOMAXPROCS, 1 = sequential; tables are identical at any count)")
+		batch      = flag.Int("batch", 0, "engine micro-batch size in slots (0 = auto; tables are identical at any value)")
+		outPath    = flag.String("o", "", "also write the tables to this file")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	)
 	flag.Parse()
+
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+			return 1
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+			return 1
+		}
+		defer pprof.StopCPUProfile()
+	}
 
 	// First SIGINT: set the interrupt flag the trial scheduler polls and
 	// restore the default handler, so completed tables are flushed below

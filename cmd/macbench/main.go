@@ -64,8 +64,9 @@
 // declining), the zero-fault injector may not slow the serial engine step
 // beyond faultHookMaxOverhead, the batched executor must not lose to the
 // slot-at-a-time Step loop (batchRunMinSpeedup) and must stay
-// allocation-free in steady state, the blocked matrix gather must beat its
-// scalar predecessor by at least blockedGatherMinSpeedup, and the sharded
+// allocation-free in steady state, the matrix regime's transmitter-major
+// totals pass must beat the scalar per-receiver sum by at least
+// blockedGatherMinSpeedup, and the sharded
 // evaluator's measured bytes/node must stay within
 // sinr.ShardBytesPerNodeBudget.
 //
@@ -387,7 +388,8 @@ type batchCase struct {
 }
 
 // blockedCase is one blocked-kernel measurement: a production hot loop
-// restructured into 4-wide receiver blocks against the scalar loop it
+// restructured into 4-wide blocks (receivers for the column fill,
+// transmitter rows for the matrix totals pass) against the scalar loop it
 // replaced, over the identical inputs. The two are bit-identical in result
 // (pinned by the kernel tests in internal/sinr), so the ratio is pure
 // instruction-scheduling gain.
@@ -507,12 +509,14 @@ const (
 	batchRunRounds     = 5
 )
 
-// blockedGatherMinSpeedup is the within-run gate on the blocked matrix
-// totals gather: processing 4 receivers per transmitter pass breaks the
-// loop-carried floating-point add chain (one ~4-cycle add latency per
-// element scalar, four independent chains blocked), a microarchitectural
-// win that exists on any out-of-order host, so the gate demands a real
-// margin. The column fill's scalar loop already had independent
+// blockedGatherMinSpeedup is the within-run gate on the matrix regime's
+// transmitter-major totals pass: streaming each transmitter's matrix row
+// into per-receiver accumulators breaks the scalar loop's loop-carried
+// floating-point add chain (one ~4-cycle add latency per element scalar,
+// one independent chain per receiver transmitter-major), a
+// microarchitectural win that exists on any out-of-order host, so the gate
+// demands a real margin even though the pass also tracks every receiver's
+// strongest sender. The column fill's scalar loop already had independent
 // iterations, so its blocked form is gated only to not regress
 // (blockedFillMinSpeedup). Judged on per-side minima over interleaved
 // rounds, as above.
@@ -896,7 +900,7 @@ func runJSONBench(seed uint64, outPath, comparePath, summaryPath string, largeMo
 
 	// The blocked kernel restructurings vs their scalar predecessors,
 	// gated within-run (blockedGatherMinSpeedup / blockedFillMinSpeedup).
-	for _, bench := range []func(uint64) (blockedCase, error){benchBlockedGather, benchBlockedFill} {
+	for _, bench := range []func(uint64) (blockedCase, error){benchGatherTotals, benchBlockedFill} {
 		c, err := bench(seed)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "macbench: %v\n", err)
@@ -1335,17 +1339,19 @@ func benchBlockedKernel(c blockedCase, minSpeedup float64, run func(blocked bool
 	return c, nil
 }
 
-// benchBlockedGather measures the blocked matrix totals gather
-// (matrixTotals4, 4 receivers per transmitter pass) against the scalar
-// per-receiver sum it replaced. The workload is kernel_pathloss-style:
-// small enough that the power matrix is cache-resident (n = 512, 2 MB) and
-// dense enough that rows are scanned contiguously (every node transmits,
-// the bounds_full slot shape), so the ratio isolates the restructuring —
-// scalar pays one loop-carried FP add latency per element, blocked runs
-// four independent chains. On workloads that stream the matrix from DRAM
-// both sides are bandwidth-bound and the ratio compresses toward 1; that
-// regime is already covered by the slot-path cases above.
-func benchBlockedGather(seed uint64) (blockedCase, error) {
+// benchGatherTotals measures the matrix regime's transmitter-major totals
+// pass (four transmitter rows per sweep over the receivers, with the
+// strongest-sender tracking the decode needs) against the scalar
+// per-receiver tx-order sum. The workload is kernel_pathloss-style: small
+// enough that the power matrix is cache-resident (n = 512, 2 MB) and dense
+// enough that rows are scanned contiguously (every node transmits, the
+// bounds_full slot shape), so the ratio isolates the restructuring —
+// scalar pays one loop-carried FP add latency per element, the
+// transmitter-major pass runs one independent chain per receiver. On
+// workloads that stream the matrix from DRAM both sides are
+// bandwidth-bound and the ratio compresses toward 1; that regime is
+// already covered by the slot-path cases above.
+func benchGatherTotals(seed uint64) (blockedCase, error) {
 	const n = 512
 	ch, _, err := sinr.BenchWorkload(n, seed)
 	if err != nil {
@@ -1354,18 +1360,16 @@ func benchBlockedGather(seed uint64) (blockedCase, error) {
 	f := sinr.NewFastChannel(ch, sinr.FastOptions{MatrixThreshold: n, SparseFactor: -1})
 	defer f.Close()
 	tx := make([]int, n)
-	rs := make([]int, n)
 	for i := range tx {
 		tx[i] = i
-		rs[i] = i
 	}
 	f.SlotReceptions(tx[:1]) // warm: materialise the power matrix
 	out := make([]float64, n)
-	c := blockedCase{Name: "blocked_gather_totals", Nodes: n, Transmitters: len(tx)}
-	return benchBlockedKernel(c, blockedGatherMinSpeedup, func(blocked bool) testing.BenchmarkResult {
+	c := blockedCase{Name: "txmajor_gather_totals", Nodes: n, Transmitters: len(tx)}
+	return benchBlockedKernel(c, blockedGatherMinSpeedup, func(txMajor bool) testing.BenchmarkResult {
 		return testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				f.BenchGatherTotals(out, rs, tx, blocked)
+				f.BenchGatherTotals(out, 0, n, tx, txMajor)
 			}
 		})
 	})

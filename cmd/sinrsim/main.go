@@ -15,6 +15,7 @@ import (
 	"math"
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"sync/atomic"
 
 	"sinrmac/internal/approgress"
@@ -63,8 +64,23 @@ func run() int {
 		evaluator    = flag.String("evaluator", "fast", "SINR slot evaluator: fast (arena/grid engine) or naive (reference scan)")
 		shards       = flag.Int("shards", 0, "spatial shards for the fast evaluator (0 = automatic above the scale threshold, -1 = disable sharding; requires -evaluator fast)")
 		maxNodes     = flag.Int("maxnodes", 2_000_000, "refuse deployments larger than this many nodes (0 = no limit)")
+		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	)
 	flag.Parse()
+
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "sinrsim: %v\n", err)
+			return 1
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintf(os.Stderr, "sinrsim: %v\n", err)
+			return 1
+		}
+		defer pprof.StopCPUProfile()
+	}
 
 	if *shards != 0 && *evaluator != "fast" {
 		fmt.Fprintf(os.Stderr, "sinrsim: -shards requires -evaluator fast (the naive reference scan has no sharded regime)\n")

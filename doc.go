@@ -201,17 +201,27 @@
 // plans and mid-run churn epochs.
 //
 // The kernels under a batch are restructured SIMD-friendly without
-// changing a single emitted bit: the matrix totals gather, the grid
-// column fill, the bounds-tier per-cell aggregation and the sharded
-// regime's remote-aggregate sums all process four receivers (or receiver
-// cells) per pass over the transmitter data. Blocking is across receivers
-// only — each receiver's interference sum still adds the same terms in
-// the same tx order with one accumulator, so the float result is
-// bit-identical to the scalar loop (remainder lanes run the scalar code);
-// what the restructuring buys is four independent FP add chains instead
-// of one loop-carried one (blocked_gather_totals measures it, gated
-// ≥ 1.15× within every macbench run), and the k·ulp certificate slack of
-// the bounds/shard tiers is computed exactly as before.
+// changing a single emitted bit. The matrix regime runs each slot as one
+// transmitter-major pass: the power matrix is bit-symmetric, so row s holds
+// transmitter s's power at every receiver, and the pass streams four
+// transmitter rows at a time over the chunk's receivers into per-receiver
+// accumulators. Each receiver's total still adds the same terms in the
+// same tx order, so it is bit-identical to the scalar loop; what the
+// restructuring buys is contiguous row segments instead of one cache line
+// per (receiver, transmitter) pair, and one independent FP add chain per
+// receiver instead of one loop-carried chain (txmajor_gather_totals
+// measures the totals pass, gated ≥ 1.15× within every macbench run). The
+// same pass tracks each receiver's first strongest transmitter, and the
+// decode tests only that sender: because β > 1, a sender with a rival of
+// equal or greater power sees a rounded SINR ≤ 1 (the paper's
+// at-most-one-decodable argument, Section 4.6, holds in floating point
+// too, as the kernel's doc comment shows), so the first sender that passes
+// the reference's scan is the strict maximum or nobody. The grid column
+// fill, the bounds-tier per-cell aggregation and the sharded regime's
+// remote-aggregate sums process four receivers (or receiver cells) per
+// pass over the transmitter data, again adding each receiver's terms in tx
+// order, and the k·ulp certificate slack of the bounds/shard tiers is
+// computed exactly as before.
 //
 // # Dynamic deployments
 //

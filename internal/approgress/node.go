@@ -28,7 +28,7 @@ type Node struct {
 	cur       *core.Message
 	bcastSlot int64
 	curSlot   int64
-	seen      map[core.MessageID]bool
+	seen      core.SeenSet
 }
 
 var (
@@ -41,7 +41,7 @@ var (
 // of slots after a Bcast at which the (timer-based) ack fires; zero or a
 // negative value means the node never acknowledges. recorder may be nil.
 func NewNode(cfg Config, ackAfter int64, recorder *core.Recorder) *Node {
-	return &Node{cfg: cfg, ackAfter: ackAfter, recorder: recorder, seen: make(map[core.MessageID]bool)}
+	return &Node{cfg: cfg, ackAfter: ackAfter, recorder: recorder}
 }
 
 // Init implements sim.Node. An invalid configuration is recorded rather
@@ -129,10 +129,9 @@ func (n *Node) Receive(slot int64, f *sim.Frame) {
 }
 
 func (n *Node) onData(m core.Message) {
-	if m.Origin == n.id || n.seen[m.ID] {
+	if m.Origin == n.id || !n.seen.Add(m.ID) {
 		return
 	}
-	n.seen[m.ID] = true
 	n.record(core.Event{Kind: core.EventRcv, Node: n.id, Msg: m, Slot: n.curSlot})
 	if n.layer != nil {
 		n.layer.OnRcv(n.curSlot, m)

@@ -79,7 +79,7 @@ type Node struct {
 
 	cur     *core.Message
 	curSlot int64
-	seen    map[core.MessageID]bool
+	seen    core.SeenSet
 }
 
 var (
@@ -90,7 +90,7 @@ var (
 // New returns a combined MAC node. recorder may be nil; if provided, every
 // absMAC interface event is recorded for the spec checker.
 func New(cfg Config, recorder *core.Recorder) *Node {
-	return &Node{cfg: cfg, recorder: recorder, seen: make(map[core.MessageID]bool)}
+	return &Node{cfg: cfg, recorder: recorder}
 }
 
 // Init implements sim.Node. Automaton construction can fail on an invalid
@@ -200,10 +200,9 @@ func (n *Node) Receive(slot int64, f *sim.Frame) {
 }
 
 func (n *Node) onData(m core.Message) {
-	if m.Origin == n.id || n.seen[m.ID] {
+	if m.Origin == n.id || !n.seen.Add(m.ID) {
 		return
 	}
-	n.seen[m.ID] = true
 	n.record(core.Event{Kind: core.EventRcv, Node: n.id, Msg: m, Slot: n.curSlot})
 	if n.layer != nil {
 		n.layer.OnRcv(n.curSlot, m)

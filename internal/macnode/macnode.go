@@ -54,7 +54,7 @@ type Node struct {
 
 	cur     *core.Message
 	curSlot int64
-	seen    map[core.MessageID]bool
+	seen    core.SeenSet
 }
 
 var (
@@ -69,7 +69,7 @@ func New(factory Factory, recorder *core.Recorder) *Node {
 	if factory == nil {
 		panic("macnode: nil factory")
 	}
-	return &Node{factory: factory, recorder: recorder, seen: make(map[core.MessageID]bool)}
+	return &Node{factory: factory, recorder: recorder}
 }
 
 // Init implements sim.Node. A factory failure (typically an invalid
@@ -159,10 +159,9 @@ func (n *Node) Receive(slot int64, f *sim.Frame) {
 // onData handles a received bcast-message: the first reception of each
 // message id produces a rcv event and an upward OnRcv callback.
 func (n *Node) onData(m core.Message) {
-	if m.Origin == n.id || n.seen[m.ID] {
+	if m.Origin == n.id || !n.seen.Add(m.ID) {
 		return
 	}
-	n.seen[m.ID] = true
 	n.record(core.Event{Kind: core.EventRcv, Node: n.id, Msg: m, Slot: n.curSlot})
 	if n.layer != nil {
 		n.layer.OnRcv(n.curSlot, m)

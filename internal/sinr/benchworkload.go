@@ -109,32 +109,31 @@ func (f *FastChannel) BenchFillColumn(dst []float64, s int, blocked bool) {
 	}
 }
 
-// BenchGatherTotals computes each listed receiver's total received power
-// over the transmitter set against the cached power matrix, either through
-// the blocked 4-receiver gather (the production matrix kernel's totals
-// pass, matrixTotals4) or through the scalar per-receiver loop it
-// replaced. Requires the matrix regime; exported for cmd/macbench's
-// within-run blocked-kernel gate.
-func (f *FastChannel) BenchGatherTotals(out []float64, rs, tx []int, blocked bool) {
+// BenchGatherTotals computes the total received power over the
+// transmitter set of every receiver in [lo, hi) against the cached power
+// matrix into out[:hi-lo], either through the production
+// transmitter-major pass (denseTotals, which also tracks every receiver's
+// strongest sender) or through the scalar per-receiver tx-order loop the
+// matrix kernels used before it. Requires the matrix regime; exported for
+// cmd/macbench's within-run kernel gate and the bit-identity tests.
+func (f *FastChannel) BenchGatherTotals(out []float64, lo, hi int, tx []int, txMajor bool) {
 	if f.mat == nil {
 		panic("sinr: BenchGatherTotals requires the matrix regime")
 	}
-	i := 0
-	if blocked {
-		for ; i+4 <= len(rs); i += 4 {
-			row0 := f.mat[rs[i]*f.stride : rs[i]*f.stride+f.n]
-			row1 := f.mat[rs[i+1]*f.stride : rs[i+1]*f.stride+f.n]
-			row2 := f.mat[rs[i+2]*f.stride : rs[i+2]*f.stride+f.n]
-			row3 := f.mat[rs[i+3]*f.stride : rs[i+3]*f.stride+f.n]
-			out[i], out[i+1], out[i+2], out[i+3] = matrixTotals4(tx, row0, row1, row2, row3)
-		}
+	if txMajor {
+		f.growAccumulators()
+		f.tx = tx
+		f.denseTotals(lo, hi, f.accTot[lo:hi], f.accBest[lo:hi], f.accFrom[lo:hi])
+		f.tx = nil
+		copy(out, f.accTot[lo:hi])
+		return
 	}
-	for ; i < len(rs); i++ {
-		row := f.mat[rs[i]*f.stride : rs[i]*f.stride+f.n]
+	for r := lo; r < hi; r++ {
+		row := f.mat[r*f.stride : r*f.stride+f.n]
 		total := 0.0
 		for _, s := range tx {
 			total += row[s]
 		}
-		out[i] = total
+		out[r-lo] = total
 	}
 }

@@ -557,7 +557,7 @@ func (f *FastChannel) boundsGridChunk(lo, hi, worker int) {
 }
 
 // boundsMatrixChunk is boundsGridChunk with powers served from the cached
-// n×n matrix; the fallback is identical to matrixChunk.
+// n×n matrix; its fallback reads the receiver's own matrix row.
 //
 //sinrlint:hotpath
 func (f *FastChannel) boundsMatrixChunk(lo, hi, worker int) {

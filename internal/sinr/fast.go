@@ -37,13 +37,25 @@ const DefaultColumnCacheBytes = 256 << 20
 // uniform-deployment model with per-ball coverage probability p =
 // ballArea/deploymentArea, the expected candidate fraction after k balls is
 // 1-(1-p)^k; the evaluator computes exactly that estimate per slot (one Exp
-// from precomputed ln(1-p)) and goes sparse below the threshold. Measured
-// on the canonical benchmark workloads the true crossover sits near an
-// estimated coverage of 0.8 (the arithmetic saved equals the enumeration
-// plus locality cost); 0.6 keeps a safety margin for the estimate's
-// uniformity assumption, so dense slots (broadcast storms, all-transmit
-// probes, discovery blocks in clustered deployments) stay on the scan that
-// streams receivers sequentially.
+// from precomputed ln(1-p)) and goes sparse below the threshold. In the
+// grid regime the crossover on the canonical benchmark workloads sits near
+// an estimated coverage of 0.8; 0.6 keeps a safety margin for the
+// estimate's uniformity assumption.
+//
+// The matrix regime's transmitter-major dense pass is cheaper. Timed per
+// slot at GOMAXPROCS=1 on a 2-vCPU Xeon VM, with 64 random transmitter
+// sets in rotation so no path finds its rows hot, on uniform deployments
+// of n ∈ {500, 1000, 2000} nodes in a (4…8)·√n square: the sparse path
+// beats the plain dense pass up to an estimated coverage of about 0.3–0.5
+// and loses by up to 1.7× at 0.6. But a slot the sparse path declines is
+// offered to the bounds tier first (prepareBounds), whose cost model
+// prices the dense pass the same in both regimes, and at n = 2000 that
+// adaptive choice took 1.3–2.7× the sparse path's time over the whole
+// 0.25–0.6 band. Against what actually runs instead, the sparse path was
+// the better choice at 0.4 in four of five deployments and at 0.6 in two
+// (up to 1.8× better, up to 1.5× worse). So the threshold stays at 0.6 in
+// both regimes until the bounds tier's matrix-regime cost model is
+// recalibrated.
 const sparseCoverageMax = 0.6
 
 // cullSlack is the relative safety margin applied to the far-field culling
@@ -248,6 +260,15 @@ type FastChannel struct {
 	txPred func(id int) bool // reusable predicate over isTx for grid queries
 	rows   [][]float64       // per-worker received-power scratch (grid mode)
 	tx     []int             // transmitter set of the slot being evaluated
+
+	// Matrix-regime accumulators of the transmitter-major pass (see
+	// denseTotals): per scanned receiver its total received power, its
+	// strongest received power and that power's first sender. Indexed by
+	// position in the slot's scan, grown to n by growAccumulators and
+	// private to each evaluator.
+	accTot  []float64
+	accBest []float64
+	accFrom []int32
 
 	// decoded[w] lists the receivers worker w decoded a frame for in the
 	// previous slot; resetting exactly those entries restores the all -1
@@ -818,6 +839,18 @@ func (f *FastChannel) workerRow(worker int) []float64 {
 	return row[:len(f.tx)]
 }
 
+// growAccumulators sizes the matrix-regime accumulators for the current
+// node count, which bounds both a dense scan and a sparse candidate list.
+// Like workerRow it only ratchets capacity up, so steady-state slots never
+// allocate, and it keeps the make out of the hotpath kernels.
+func (f *FastChannel) growAccumulators() {
+	if len(f.accTot) < f.n {
+		f.accTot = make([]float64, f.n)
+		f.accBest = make([]float64, f.n)
+		f.accFrom = make([]int32, f.n)
+	}
+}
+
 func (f *FastChannel) runChunks(n int, fn func(f *FastChannel, lo, hi, worker int)) {
 	workers := f.workers
 	if len(f.rows) < workers {
@@ -866,6 +899,9 @@ func (f *FastChannel) SlotReceptions(transmitters []int) []Reception {
 		return out
 	}
 	f.tx = transmitters
+	if f.mat != nil {
+		f.growAccumulators()
+	}
 	switch {
 	case f.useSparse(len(transmitters)):
 		f.buildCandidates(transmitters)
@@ -972,134 +1008,193 @@ func (f *FastChannel) buildCandidates(tx []int) {
 	}
 }
 
-// The chunk evaluators below share one decode structure — total received
-// power over all transmitters, then the first sender meeting the SINR
-// threshold wins (at most one can, since β > 1). The matrix paths gather
-// listeners into 4-wide blocks whose interference totals are accumulated in
-// one shared pass over the transmitters (matrixTotals4): each receiver's
-// total is still added in exact transmitter order by its own accumulator,
-// so every total — and therefore every decode — is bit-identical to the
-// scalar loop's, while the four independent add chains overlap instead of
-// serialising on one accumulator's add latency. The grid paths keep their
-// own power source (cached column, recomputation) and enumeration inline.
+// The matrix-regime chunk evaluators below run one transmitter-major pass.
+// The power matrix is bit-symmetric (buildPowerMatrix and both churn paths
+// write each pair's value to its two mirror entries; TestPowerMatrixSymmetric
+// pins it), so row s of the matrix holds transmitter s's power at every
+// receiver. For each
+// transmitter, four at a time in tx order, the pass streams row s over the
+// chunk's receivers into per-receiver accumulators: the running total,
+// added as (((acc+p0)+p1)+p2)+p3 — each receiver's terms in exactly the tx
+// order of the scalar loop, so every total is bit-identical to it — and the
+// first strongest transmitter so far (strict >). That replaces one cache
+// line per (receiver, transmitter) pair with one contiguous segment per
+// transmitter. The strongest-sender fold runs only when the group's
+// rounded sum (p0+p1)+(p2+p3) beats the running maximum: with non-negative
+// terms and monotone rounding that sum is ≥ each pi, so a group the test
+// skips holds no new maximum.
+//
+// The decode then tests only that strongest sender s*, with the reference's
+// unchanged expression signal ≥ cullPower && signal/(total−signal+N) ≥ β.
+// This is exact, not a heuristic. All terms are non-negative and every
+// operation is correctly rounded, hence monotone. If any other transmitter
+// entry (duplicate ids included) has signal' ≥ signal, the tx-order sum
+// passes through a partial sum ≥ signal+signal' ≥ 2·signal, so
+// fl(total) ≥ 2·signal, fl(total−signal) ≥ signal, the denominator is
+// ≥ signal and the rounded ratio is ≤ 1 < β (Params.Validate requires
+// β > 1). So only a strict maximum can pass, and the reference's "first
+// sender in tx order that passes" is either that maximum or nobody: testing
+// s* alone emits the same decision bit for bit. (A signal of 0 never passes
+// either, so the accumulators start at zero with no sender.)
+//
+// The accumulators are FastChannel scratch (accTot, accBest, accFrom),
+// indexed by the chunk's own positions — receiver ids on dense slots,
+// candidate indices on sparse ones — so the workers' disjoint [lo, hi)
+// ranges never share a word.
 
-// matrixTotals4 sums four receivers' row powers over the slot's
-// transmitters in one pass. Four independent accumulators, each added in
-// transmitter order, make every lane's sum the exact floating-point result
-// of the scalar loop; the four-stream layout is also the shape
-// SIMD-capable compilers vectorise (independent lanes, no cross-lane
-// reduction).
+// denseTotals runs the transmitter-major pass over the contiguous receivers
+// [lo, hi): on return tot[i], best[i] and from[i] hold receiver lo+i's total
+// received power, the strongest received power and its first sender in tx
+// order.
 //
 //sinrlint:hotpath
-func matrixTotals4(tx []int, row0, row1, row2, row3 []float64) (t0, t1, t2, t3 float64) {
-	for _, s := range tx {
-		t0 += row0[s]
-		t1 += row1[s]
-		t2 += row2[s]
-		t3 += row3[s]
-	}
-	return
-}
-
-// matrixDecodeRow applies the decode scan to one receiver given its matrix
-// row and precomputed interference total.
-//
-//sinrlint:hotpath
-func (f *FastChannel) matrixDecodeRow(r int, row []float64, total float64, dec []int) []int {
-	for _, s := range f.tx {
-		signal := row[s]
-		if signal < f.cullPower {
-			continue // cannot meet β even without interference
+func (f *FastChannel) denseTotals(lo, hi int, tot, best []float64, from []int32) {
+	tot = tot[:hi-lo]
+	best = best[:len(tot)]
+	from = from[:len(tot)]
+	clear(tot)
+	clear(best)
+	m, stride, tx := f.mat, f.stride, f.tx
+	j := 0
+	for ; j+4 <= len(tx); j += 4 {
+		s0, s1, s2, s3 := tx[j], tx[j+1], tx[j+2], tx[j+3]
+		r0 := m[s0*stride+lo : s0*stride+hi]
+		r1 := m[s1*stride+lo : s1*stride+hi]
+		r2 := m[s2*stride+lo : s2*stride+hi]
+		r3 := m[s3*stride+lo : s3*stride+hi]
+		r0, r1, r2, r3 = r0[:len(tot)], r1[:len(tot)], r2[:len(tot)], r3[:len(tot)]
+		for i := range tot {
+			p0, p1, p2, p3 := r0[i], r1[i], r2[i], r3[i]
+			tot[i] = (((tot[i] + p0) + p1) + p2) + p3
+			if (p0+p1)+(p2+p3) > best[i] {
+				best[i], from[i] = strongest4(best[i], from[i], p0, p1, p2, p3, s0, s1, s2, s3)
+			}
 		}
-		if signal/(total-signal+f.noise) >= f.beta {
-			f.out[r].Sender = s
-			dec = append(dec, r)
-			break
+	}
+	for ; j < len(tx); j++ {
+		s := tx[j]
+		row := m[s*stride+lo : s*stride+hi]
+		row = row[:len(tot)]
+		for i := range tot {
+			p := row[i]
+			tot[i] += p
+			if p > best[i] {
+				best[i], from[i] = p, int32(s)
+			}
 		}
 	}
-	return dec
 }
 
-// matrixBlock4 evaluates four listeners against the cached power matrix:
-// one shared transmitter pass for the four totals, then per-receiver
-// decode scans in block order (ascending within the chunk, so the decode
-// list order matches the scalar loop's).
+// sparseTotals is denseTotals over an explicit receiver list: on return
+// tot[i], best[i] and from[i] describe receiver rs[i]. Each transmitter's
+// row is read at the listed receivers only, so the pass touches one hot row
+// per transmitter.
 //
 //sinrlint:hotpath
-func (f *FastChannel) matrixBlock4(blk *[4]int, dec []int) []int {
-	m, stride, n := f.mat, f.stride, f.n
-	row0 := m[blk[0]*stride : blk[0]*stride+n]
-	row1 := m[blk[1]*stride : blk[1]*stride+n]
-	row2 := m[blk[2]*stride : blk[2]*stride+n]
-	row3 := m[blk[3]*stride : blk[3]*stride+n]
-	t0, t1, t2, t3 := matrixTotals4(f.tx, row0, row1, row2, row3)
-	dec = f.matrixDecodeRow(blk[0], row0, t0, dec)
-	dec = f.matrixDecodeRow(blk[1], row1, t1, dec)
-	dec = f.matrixDecodeRow(blk[2], row2, t2, dec)
-	dec = f.matrixDecodeRow(blk[3], row3, t3, dec)
-	return dec
-}
-
-// matrixScalar evaluates one listener against the cached power matrix — the
-// remainder path for blocks of fewer than four listeners.
-func (f *FastChannel) matrixScalar(r int, dec []int) []int {
-	row := f.mat[r*f.stride : r*f.stride+f.n]
-	total := 0.0
-	for _, s := range f.tx {
-		total += row[s]
+func (f *FastChannel) sparseTotals(rs []int, tot, best []float64, from []int32) {
+	tot = tot[:len(rs)]
+	best = best[:len(rs)]
+	from = from[:len(rs)]
+	clear(tot)
+	clear(best)
+	m, stride, n, tx := f.mat, f.stride, f.n, f.tx
+	j := 0
+	for ; j+4 <= len(tx); j += 4 {
+		s0, s1, s2, s3 := tx[j], tx[j+1], tx[j+2], tx[j+3]
+		r0 := m[s0*stride : s0*stride+n]
+		r1 := m[s1*stride : s1*stride+n]
+		r2 := m[s2*stride : s2*stride+n]
+		r3 := m[s3*stride : s3*stride+n]
+		for i, r := range rs {
+			p0, p1, p2, p3 := r0[r], r1[r], r2[r], r3[r]
+			tot[i] = (((tot[i] + p0) + p1) + p2) + p3
+			if (p0+p1)+(p2+p3) > best[i] {
+				best[i], from[i] = strongest4(best[i], from[i], p0, p1, p2, p3, s0, s1, s2, s3)
+			}
+		}
 	}
-	return f.matrixDecodeRow(r, row, total, dec)
+	for ; j < len(tx); j++ {
+		s := tx[j]
+		row := m[s*stride : s*stride+n]
+		for i, r := range rs {
+			p := row[r]
+			tot[i] += p
+			if p > best[i] {
+				best[i], from[i] = p, int32(s)
+			}
+		}
+	}
 }
 
-// matrixChunk evaluates receivers [lo, hi) against the cached power matrix,
-// in 4-wide listener blocks with a scalar remainder.
+// strongest4 folds four powers, in tx order, into a running first-strongest
+// (strict >) pair. It is the slow path of the totals passes, taken only when
+// the group's sum beats the running maximum.
+//
+//sinrlint:hotpath
+func strongest4(b float64, id int32, p0, p1, p2, p3 float64, s0, s1, s2, s3 int) (float64, int32) {
+	if p0 > b {
+		b, id = p0, int32(s0)
+	}
+	if p1 > b {
+		b, id = p1, int32(s1)
+	}
+	if p2 > b {
+		b, id = p2, int32(s2)
+	}
+	if p3 > b {
+		b, id = p3, int32(s3)
+	}
+	return b, id
+}
+
+// decodesStrongest applies the reference SINR test to a receiver's
+// strongest sender; by the argument above no other sender can pass.
+//
+//sinrlint:hotpath
+func (f *FastChannel) decodesStrongest(total, signal float64) bool {
+	return signal >= f.cullPower && signal/(total-signal+f.noise) >= f.beta
+}
+
+// matrixChunk evaluates receivers [lo, hi) against the cached power matrix
+// with one transmitter-major pass.
 //
 //sinrlint:hotpath
 func (f *FastChannel) matrixChunk(lo, hi, worker int) {
+	tot, best, from := f.accTot[lo:hi], f.accBest[lo:hi], f.accFrom[lo:hi]
+	f.denseTotals(lo, hi, tot, best, from)
 	dec := f.decoded[worker]
-	var blk [4]int
-	nb := 0
-	for r := lo; r < hi; r++ {
-		if f.isTx[r] {
+	isTx := f.isTx[lo:hi]
+	for i := range tot {
+		if isTx[i] {
 			continue // half-duplex: a transmitting node cannot receive
 		}
-		blk[nb] = r
-		nb++
-		if nb == 4 {
-			dec = f.matrixBlock4(&blk, dec)
-			nb = 0
+		if f.decodesStrongest(tot[i], best[i]) {
+			r := lo + i
+			f.out[r].Sender = int(from[i])
+			dec = append(dec, r)
 		}
-	}
-	for i := 0; i < nb; i++ {
-		dec = f.matrixScalar(blk[i], dec)
 	}
 	f.decoded[worker] = dec
 }
 
 // sparseMatrixChunk evaluates the slot's candidate receivers [lo, hi) (by
-// candidate index) against the cached power matrix. The arithmetic is
-// identical to matrixChunk — the same 4-wide blocks, filled in candidate
-// order; only the receiver enumeration differs.
+// candidate index) against the cached power matrix: the same pass and
+// decode as matrixChunk over the candidate list.
 //
 //sinrlint:hotpath
 func (f *FastChannel) sparseMatrixChunk(lo, hi, worker int) {
+	rs := f.candidates[lo:hi]
+	tot, best, from := f.accTot[lo:hi], f.accBest[lo:hi], f.accFrom[lo:hi]
+	f.sparseTotals(rs, tot, best, from)
 	dec := f.decoded[worker]
-	var blk [4]int
-	nb := 0
-	for i := lo; i < hi; i++ {
-		r := f.candidates[i]
+	for i, r := range rs {
 		if f.isTx[r] {
 			continue
 		}
-		blk[nb] = r
-		nb++
-		if nb == 4 {
-			dec = f.matrixBlock4(&blk, dec)
-			nb = 0
+		if f.decodesStrongest(tot[i], best[i]) {
+			f.out[r].Sender = int(from[i])
+			dec = append(dec, r)
 		}
-	}
-	for i := 0; i < nb; i++ {
-		dec = f.matrixScalar(blk[i], dec)
 	}
 	f.decoded[worker] = dec
 }

@@ -203,10 +203,12 @@ func TestFillColumnBlockedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestGatherTotalsBlockedBitIdentical pins the blocked 4-receiver totals
-// gather (the matrix paths' interference pass) to the scalar per-receiver
-// tx-order sum bit for bit, across receiver-list lengths covering every
-// remainder-lane count and transmitter sets of varied size and order.
+// TestGatherTotalsBlockedBitIdentical pins the matrix regime's
+// transmitter-major totals pass — the dense form over a receiver range and
+// the sparse form over a receiver list — to the scalar per-receiver
+// tx-order sum bit for bit, across receiver counts covering every
+// chunk-boundary offset and transmitter sets of every 4-group remainder,
+// in varied order and with repeated ids.
 func TestGatherTotalsBlockedBitIdentical(t *testing.T) {
 	src := rng.New(0x9a73e5)
 	const n = 48
@@ -219,32 +221,64 @@ func TestGatherTotalsBlockedBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := NewFastChannel(ch, FastOptions{Workers: 1, SparseFactor: -1})
+	defer f.Close()
 	if f.mat == nil {
 		t.Fatal("workload did not select the matrix regime")
 	}
-	for trial := 0; trial < 50; trial++ {
-		nr := 1 + src.Intn(12)
-		rs := make([]int, nr)
-		for i := range rs {
-			rs[i] = src.Intn(n)
+	scalar := func(r int, tx []int) float64 {
+		total := 0.0
+		for _, s := range tx {
+			total += f.mat[r*f.stride+s]
 		}
+		return total
+	}
+	// firstStrongest is the tx-order scan for the first strict maximum.
+	firstStrongest := func(r int, tx []int) (float64, int32) {
+		best, from := 0.0, int32(-1)
+		for _, s := range tx {
+			if p := f.mat[r*f.stride+s]; p > best {
+				best, from = p, int32(s)
+			}
+		}
+		return best, from
+	}
+	for trial := 0; trial < 50; trial++ {
 		k := 1 + src.Intn(n)
 		tx := make([]int, k)
 		for i := range tx {
 			tx[i] = src.Intn(n)
 		}
-		blocked := make([]float64, nr)
-		scalar := make([]float64, nr)
-		f.BenchGatherTotals(blocked, rs, tx, true)
-		f.BenchGatherTotals(scalar, rs, tx, false)
+		lo := src.Intn(n)
+		hi := lo + 1 + src.Intn(n-lo)
+		txMajor := make([]float64, hi-lo)
+		ref := make([]float64, hi-lo)
+		f.BenchGatherTotals(txMajor, lo, hi, tx, true)
+		f.BenchGatherTotals(ref, lo, hi, tx, false)
+		for i := range ref {
+			if math.Float64bits(txMajor[i]) != math.Float64bits(ref[i]) {
+				t.Fatalf("trial %d receiver %d ([%d,%d), k=%d): dense pass=%x scalar=%x",
+					trial, lo+i, lo, hi, k, math.Float64bits(txMajor[i]), math.Float64bits(ref[i]))
+			}
+		}
+		rs := make([]int, 1+src.Intn(12))
 		for i := range rs {
-			if math.Float64bits(blocked[i]) != math.Float64bits(scalar[i]) {
-				t.Fatalf("trial %d receiver %d (of %d, k=%d): blocked=%x scalar=%x",
-					trial, i, nr, k, math.Float64bits(blocked[i]), math.Float64bits(scalar[i]))
+			rs[i] = src.Intn(n)
+		}
+		tot, best, from := make([]float64, len(rs)), make([]float64, len(rs)), make([]int32, len(rs))
+		f.tx = tx
+		f.sparseTotals(rs, tot, best, from)
+		f.tx = nil
+		for i, r := range rs {
+			if want := scalar(r, tx); math.Float64bits(tot[i]) != math.Float64bits(want) {
+				t.Fatalf("trial %d receiver %d (list of %d, k=%d): sparse pass=%x scalar=%x",
+					trial, r, len(rs), k, math.Float64bits(tot[i]), math.Float64bits(want))
+			}
+			if b, s := firstStrongest(r, tx); best[i] != b || from[i] != s {
+				t.Fatalf("trial %d receiver %d (k=%d): sparse pass strongest %d (%g), scan %d (%g)",
+					trial, r, k, from[i], best[i], s, b)
 			}
 		}
 	}
-	f.Close()
 }
 
 // TestOnThresholdCullBoundary is the adversarial case for the r²-domain

@@ -88,6 +88,33 @@ func TestSessionManyPhases(t *testing.T) {
 	}
 }
 
+// TestSessionBarrierStress runs many short sessions of many phases with
+// more helpers than a small host has CPUs, so helpers are regularly
+// descheduled between the steps of a barrier handoff. Each phase must run
+// every index exactly once before Run returns: a wake claimed for the
+// wrong phase releases a helper or the leader from a barrier early, which
+// shows up here as an index run zero or two times (or as a race report or
+// a deadlock).
+func TestSessionBarrierStress(t *testing.T) {
+	p := New()
+	defer p.Close()
+	const n, workers = 16, 8
+	task := &coverTask{got: make([]int32, n)}
+	for sess := 0; sess < 1000; sess++ {
+		p.Begin(workers)
+		for phase := 0; phase < 200; phase++ {
+			clear(task.got)
+			p.Run(n, workers, task)
+			for i, c := range task.got {
+				if c != 1 {
+					t.Fatalf("session %d phase %d: index %d ran %d times, want 1", sess, phase, i, c)
+				}
+			}
+		}
+		p.End()
+	}
+}
+
 func TestSessionWithoutPhases(t *testing.T) {
 	// A session whose phases all run inline (or that has none) never wakes
 	// a helper; Begin/End must still pair cleanly, repeatedly.

@@ -125,10 +125,14 @@ type state struct {
 	pN          int
 	pChunk      int
 	panicked    atomic.Pointer[PanicError] // first chunk panic, re-raised at rendezvous
-	parked      []int32                    // per-helper: 1 while parked at a session barrier
-	leaderPark  int32
-	leaderWake  chan struct{}
-	spins       int // per-wait spin budget: sessionSpins, or 0 at GOMAXPROCS=1
+	// Park flags hold the phase generation their owner waits for, 0 while
+	// it is not parked: parked[i] for helper i+1 at the phase barrier,
+	// leaderPark for the leader at the arrival barrier. A waker claims a
+	// flag only for the phase it is signalling (see wakeParked).
+	parked     []uint64
+	leaderPark atomic.Uint64
+	leaderWake chan struct{}
+	spins      int // per-wait spin budget: sessionSpins, or 0 at GOMAXPROCS=1
 }
 
 // Pool is a persistent worker pool. The zero value is not usable; call New.
@@ -316,8 +320,7 @@ func (p *Pool) End() {
 	}
 	s.sessWoke = false
 	s.sessDone = true
-	s.phase.Add(1)
-	s.wakeParked()
+	s.wakeParked(s.phase.Add(1))
 	s.wg.Wait()
 	s.sessDone = false
 	s.sessMode = false
@@ -363,28 +366,42 @@ func (s *state) sessRun(n, workers int, t Task) {
 			s.wake[i] <- struct{}{}
 		}
 	} else {
-		s.wakeParked()
+		s.wakeParked(g)
 	}
 	s.runChunk(t, 0, chunk, 0)
-	s.awaitArrived()
+	s.awaitArrived(g)
 	s.pTask = nil
 }
 
-// wakeParked delivers one wake to every session helper that parked at the
-// barrier. The park flag is handed off by compare-and-swap, so between the
-// helper and the leader exactly one of them claims it: a claimed flag is
-// always followed by exactly one send, and an unclaimed one by none.
-func (s *state) wakeParked() {
+// wakeParked delivers one wake to every session helper that parked waiting
+// for phase g. The park flag is handed off by compare-and-swap, so between
+// the helper and the leader exactly one of them claims it: a claimed flag
+// is always followed by exactly one send, and an unclaimed one by none.
+//
+// The flag carries the phase so that the claim cannot land on the wrong
+// park: a fast helper may see phase g while spinning, finish its chunk and
+// park for g+1 before this loop reaches it. An untagged flag would then be
+// claimed for phase g, leaving a wake in the channel that releases the
+// helper from the g+1 barrier before g+1 is published.
+func (s *state) wakeParked(g uint64) {
 	for i := 0; i < s.sessHelpers; i++ {
-		if atomic.CompareAndSwapInt32(&s.parked[i], 1, 0) {
+		if atomic.CompareAndSwapUint64(&s.parked[i], g, 0) {
 			s.wake[i] <- struct{}{}
 		}
 	}
 }
 
 // awaitArrived blocks the leader until every session helper has arrived at
-// the current phase barrier, spinning briefly before parking on leaderWake.
-func (s *state) awaitArrived() {
+// the barrier of phase g, spinning briefly before parking on leaderWake.
+//
+// The park flag carries g. The last helper to arrive counts itself in and
+// then claims the flag in two separate steps, so when the leader sees the
+// full count while spinning, that helper may still be between them as the
+// leader moves on, publishes phase g+1 and parks again. With an untagged
+// flag the late claim would succeed and wake the leader of phase g+1
+// before its helpers ran, breaking the barrier; the late helper's claim of
+// phase g now fails.
+func (s *state) awaitArrived(g uint64) {
 	target := int64(s.sessHelpers)
 	for i := 0; i < s.spins; i++ {
 		if s.arrived.Load() >= target {
@@ -392,8 +409,8 @@ func (s *state) awaitArrived() {
 		}
 		runtime.Gosched()
 	}
-	atomic.StoreInt32(&s.leaderPark, 1)
-	if s.arrived.Load() >= target && atomic.CompareAndSwapInt32(&s.leaderPark, 1, 0) {
+	s.leaderPark.Store(g)
+	if s.arrived.Load() >= target && s.leaderPark.CompareAndSwap(g, 0) {
 		// The last helper arrived before it could claim the park flag, so
 		// no wake is coming (its CAS will fail); reclaiming the flag
 		// ourselves keeps the channel empty.
@@ -427,7 +444,7 @@ func (s *state) helperSession(w int, wake chan struct{}) bool {
 			s.runChunk(s.pTask, lo, hi, w)
 		}
 		if s.arrived.Add(1) == int64(s.sessHelpers) &&
-			atomic.CompareAndSwapInt32(&s.leaderPark, 1, 0) {
+			s.leaderPark.CompareAndSwap(g, 0) {
 			s.leaderWake <- struct{}{}
 		}
 	}
@@ -447,8 +464,8 @@ func (s *state) awaitPhase(target uint64, w int, wake chan struct{}) bool {
 		runtime.Gosched()
 	}
 	idx := w - 1
-	atomic.StoreInt32(&s.parked[idx], 1)
-	if s.phase.Load() >= target && atomic.CompareAndSwapInt32(&s.parked[idx], 1, 0) {
+	atomic.StoreUint64(&s.parked[idx], target)
+	if s.phase.Load() >= target && atomic.CompareAndSwapUint64(&s.parked[idx], target, 0) {
 		return true
 	}
 	select {
