@@ -35,6 +35,7 @@ package approgress
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"sinrmac/internal/core"
@@ -345,8 +346,8 @@ type Automaton struct {
 	label       uint64
 	idCounts    map[int]int
 	potentials  []int
-	confirmed   map[int][]int // sender id -> its potential list (from FrameList)
-	neighbors   map[int]bool  // H̃̃ neighbours for the current phase
+	confirmed   map[int]bool // sender id -> its last FrameList named this node
+	neighbors   map[int]bool // H̃̃ neighbours for the current phase
 	misState    uint8
 	heardRound  map[int]MISPayload // MIS messages heard in the current round
 	curRound    int
@@ -491,7 +492,7 @@ func (a *Automaton) resetPhase() {
 	a.curRound = 0
 	if a.phaseSender && a.idCounts == nil {
 		a.idCounts = make(map[int]int)
-		a.confirmed = make(map[int][]int)
+		a.confirmed = make(map[int]bool)
 		a.neighbors = make(map[int]bool)
 		a.heardRound = make(map[int]MISPayload)
 	}
@@ -541,15 +542,8 @@ func (a *Automaton) finalizeNeighbors() {
 		return
 	}
 	for _, v := range a.potentials {
-		list, got := a.confirmed[v]
-		if !got {
-			continue
-		}
-		for _, w := range list {
-			if w == a.id {
-				a.neighbors[v] = true
-				break
-			}
+		if a.confirmed[v] {
+			a.neighbors[v] = true
 		}
 	}
 }
@@ -633,8 +627,8 @@ func (a *Automaton) tickData(f *sim.Frame) bool {
 
 // Receive processes a frame decoded in one of this automaton's slots. The
 // control payloads point into the sender's scratch and are only valid for
-// this call, so anything retained (the confirmed potential lists, the
-// heard-this-round MIS messages) is copied out here.
+// this call, so anything retained (whether a potential list names this
+// node, the heard-this-round MIS messages) is copied out here.
 func (a *Automaton) Receive(f *sim.Frame) {
 	if f == nil {
 		return
@@ -646,7 +640,7 @@ func (a *Automaton) Receive(f *sim.Frame) {
 		}
 	case FrameList:
 		if p, ok := f.Payload.(*ListPayload); ok && a.phaseSender {
-			a.confirmed[p.ID] = append([]int(nil), p.Potentials...)
+			a.confirmed[p.ID] = slices.Contains(p.Potentials, a.id)
 		}
 	case FrameMIS:
 		if p, ok := f.Payload.(*MISPayload); ok && a.phaseSender {

@@ -171,6 +171,39 @@ func TestAutomatonTransmitsAllFrameKindsWhenAlone(t *testing.T) {
 	}
 }
 
+// TestLastListDecidesConfirmation delivers node 1's potential list to node
+// 3 twice in one phase. Only the last list counts towards the
+// mutual-confirmation rule, whichever of the two names node 3.
+func TestLastListDecidesConfirmation(t *testing.T) {
+	list := func(pots ...int) *sim.Frame {
+		return &sim.Frame{From: 1, Kind: FrameList, Payload: &ListPayload{ID: 1, Potentials: pots}}
+	}
+	for _, c := range []struct {
+		name        string
+		first, last *sim.Frame
+		want        bool
+	}{
+		{"named-then-dropped", list(2, 3), list(2), false},
+		{"dropped-then-named", list(2), list(3, 4), true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			aut, err := NewAutomaton(testConfig(8), 3, rng.New(1), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			aut.phaseSender = true
+			aut.resetPhase()
+			aut.potentials = append(aut.potentials, 1)
+			aut.Receive(c.first)
+			aut.Receive(c.last)
+			aut.finalizeNeighbors()
+			if got := aut.neighbors[1]; got != c.want {
+				t.Fatalf("node 3 counts node 1 as a neighbour: %v, want %v", got, c.want)
+			}
+		})
+	}
+}
+
 func TestAutomatonAbortStopsData(t *testing.T) {
 	cfg := testConfig(8)
 	aut, err := NewAutomaton(cfg, 0, rng.New(4), nil)

@@ -148,9 +148,19 @@ func MinPairwiseDist(points []Point) float64 {
 	// monotone (x ≤ y ⟹ Sqrt(x) ≤ Sqrt(y) after rounding), so the minimum
 	// commutes with the root and the result is bit-identical to minimising
 	// Dist directly.
+	//
+	// Each query walks the 5×5 block of cells around p (AppendWithin at
+	// radius 2·cell spans two cells each way) into one reused buffer. Only
+	// pairs with DistSq ≤ cell² count as found: when one is, the minimum
+	// over the looser ball is the same, since the extra pairs are all
+	// farther; when none is, the points are sparse relative to the cell
+	// size and the scan falls back to brute force.
+	rr := cell * cell
 	bestSq := math.Inf(1)
+	var near []int
 	for i, p := range points {
-		for _, j := range g.Neighborhood(p, cell) {
+		near = g.AppendWithin(near[:0], p, 2*cell)
+		for _, j := range near {
 			if j == i {
 				continue
 			}
@@ -159,9 +169,7 @@ func MinPairwiseDist(points []Point) float64 {
 			}
 		}
 	}
-	// The grid only inspects adjacent cells; if nothing was found there the
-	// points are sparse relative to the cell size and we must fall back.
-	if math.IsInf(bestSq, 1) {
+	if !(bestSq <= rr) {
 		return minPairwiseBrute(points)
 	}
 	return math.Sqrt(bestSq)

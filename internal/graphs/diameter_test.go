@@ -93,10 +93,10 @@ func gridGraph(w, h int) *Graph {
 	return g
 }
 
-// uniformStrong returns G_{1-ε} over n points placed uniformly at random
-// with unit minimum spacing in a square of side 4.4·√n, at range 12: the
-// geometry of the simulator's uniform deployments.
-func uniformStrong(n int, seed uint64) *Graph {
+// uniformPositions places n points uniformly at random with unit minimum
+// spacing in a square of side 4.4·√n: the geometry of the simulator's
+// uniform deployments (cmd/sinrsim -topology uniform).
+func uniformPositions(n int, seed uint64) []geom.Point {
 	src := rng.New(seed)
 	side := 4.4 * math.Sqrt(float64(n))
 	grid := geom.NewGrid(1)
@@ -115,7 +115,13 @@ func uniformStrong(n int, seed uint64) *Graph {
 			pos = append(pos, p)
 		}
 	}
-	return Strong(sinr.DefaultParams(12), pos)
+	return pos
+}
+
+// uniformStrong returns G_{1-ε} over uniformPositions(n, seed) at range 12,
+// the simulator's default.
+func uniformStrong(n int, seed uint64) *Graph {
+	return Strong(sinr.DefaultParams(12), uniformPositions(n, seed))
 }
 
 func TestDiameterMatchesAllPairs(t *testing.T) {

@@ -6,22 +6,33 @@
 // G_a (Section 4.3), maximal-independent-set computations for
 // growth-bounded graphs (used by Algorithm 9.1), and the Λ edge-length
 // ratio.
+//
+// The SINR-induced graphs are built locally, as the paper analyses them:
+// UnitDisk buckets the points into square cells about one radius wide and
+// tests only pairs in the same or adjacent cells, so G_a costs
+// O(n + candidate pairs), which is O(n·Δ) on deployments with unit minimum
+// spacing, instead of n²/2 distance tests. Every candidate pair is decided
+// by the exact predicate Dist ≤ a·R, and the cell side is chosen so that no
+// pair passing it lies outside the walked cells (see UnitDisk).
 package graphs
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"sinrmac/internal/geom"
 	"sinrmac/internal/sinr"
 )
 
-// Graph is a simple undirected graph on nodes 0..n-1.
+// Graph is a simple undirected graph on nodes 0..n-1. Each node's
+// neighbours are kept in one ascending slice: HasEdge is a binary search,
+// AddEdge finds its slot (and rejects a duplicate) by binary search and
+// inserts there, and BFS walks plain slices.
 type Graph struct {
 	n   int
 	adj [][]int
-	set []map[int]bool
 }
 
 // New returns an empty graph with n nodes and no edges. It panics if n is
@@ -30,15 +41,7 @@ func New(n int) *Graph {
 	if n < 0 {
 		panic("graphs: negative node count")
 	}
-	g := &Graph{
-		n:   n,
-		adj: make([][]int, n),
-		set: make([]map[int]bool, n),
-	}
-	for i := range g.set {
-		g.set[i] = make(map[int]bool)
-	}
-	return g
+	return &Graph{n: n, adj: make([][]int, n)}
 }
 
 // NumNodes returns the number of nodes.
@@ -54,17 +57,22 @@ func (g *Graph) NumEdges() int {
 }
 
 // AddEdge inserts the undirected edge (u, v). Self-loops and duplicate
-// edges are ignored. It panics if either endpoint is out of range.
+// edges are ignored. It panics if either endpoint is out of range. It costs
+// O(log deg + deg) per endpoint: a binary search, then the shift of the
+// larger neighbours (none when edges arrive in ascending order).
 func (g *Graph) AddEdge(u, v int) {
 	g.check(u)
 	g.check(v)
-	if u == v || g.set[u][v] {
+	if u == v {
 		return
 	}
-	g.set[u][v] = true
-	g.set[v][u] = true
-	g.adj[u] = append(g.adj[u], v)
-	g.adj[v] = append(g.adj[v], u)
+	i, found := slices.BinarySearch(g.adj[u], v)
+	if found {
+		return
+	}
+	g.adj[u] = slices.Insert(g.adj[u], i, v)
+	j, _ := slices.BinarySearch(g.adj[v], u)
+	g.adj[v] = slices.Insert(g.adj[v], j, u)
 }
 
 func (g *Graph) check(u int) {
@@ -77,7 +85,8 @@ func (g *Graph) check(u int) {
 func (g *Graph) HasEdge(u, v int) bool {
 	g.check(u)
 	g.check(v)
-	return g.set[u][v]
+	_, found := slices.BinarySearch(g.adj[u], v)
+	return found
 }
 
 // Neighbors returns the neighbours of u in ascending order. The returned
@@ -86,7 +95,6 @@ func (g *Graph) Neighbors(u int) []int {
 	g.check(u)
 	out := make([]int, len(g.adj[u]))
 	copy(out, g.adj[u])
-	sort.Ints(out)
 	return out
 }
 
@@ -334,11 +342,13 @@ func (g *Graph) InducedSubgraph(s []int) (*Graph, []int) {
 	for i, v := range nodes {
 		index[v] = i
 	}
+	// The renumbering is monotone, so each ascending neighbour list of g
+	// maps to an ascending list of sub.
 	sub := New(len(nodes))
 	for i, v := range nodes {
 		for _, w := range g.adj[v] {
-			if j, ok := index[w]; ok && j > i {
-				sub.AddEdge(i, j)
+			if j, ok := index[w]; ok {
+				sub.adj[i] = append(sub.adj[i], j)
 			}
 		}
 	}
@@ -361,12 +371,13 @@ func dedupSorted(xs []int) []int {
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
 	c := New(g.n)
-	for u := 0; u < g.n; u++ {
-		for _, v := range g.adj[u] {
-			if v > u {
-				c.AddEdge(u, v)
-			}
-		}
+	arena := make([]int, 0, 2*g.NumEdges())
+	for u, a := range g.adj {
+		lo := len(arena)
+		arena = append(arena, a...)
+		// Capped, so an AddEdge on one node reallocates rather than
+		// overwriting the next node's list.
+		c.adj[u] = arena[lo:len(arena):len(arena)]
 	}
 	return c
 }
@@ -381,27 +392,140 @@ func (g *Graph) Edges() [][2]int {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
 	return out
 }
 
 // UnitDisk returns the graph connecting every pair of points at Euclidean
-// distance at most radius.
+// distance at most radius: u and v are adjacent iff
+// pos[u].Dist(pos[v]) <= radius. A negative or NaN radius therefore yields
+// no edges, radius 0 connects coincident points, and radius +Inf connects
+// every pair at a non-NaN distance.
+//
+// Cost: O(n + candidate pairs). The points are bucketed into a
+// geom.CellIndex of side c just above the radius, and each occupied cell is
+// paired once with itself and once with each of four of its eight
+// neighbours (the other four pair with it from their side), so every pair
+// of points in the same or adjacent cells is a candidate exactly once, and
+// the exact predicate decides it. With unit minimum spacing a cell holds
+// O(c²) points, so there are O(n·Δ) candidates.
+//
+// Exactness: no pair passing the predicate lies outside adjacent cells.
+// Dist(u, v) ≤ r for a finite r means the rounded coordinate difference dx
+// obeys |dx| ≤ r·(1+2⁻⁵¹) (the square, the sum and the root each round by
+// at most half an ulp), so the exact difference is at most ρ·(1+2⁻⁴⁹) with
+// ρ = max(r, 2⁻⁴⁹⁰); the floor covers squares that underflow, r = 0
+// included. A pair whose exact x-difference exceeds r while the subtraction
+// rounds it to r, so that Dist = r, falls inside that slack. The cell side is c = max(ρ·(1+2⁻²⁰), 2⁻²⁸·M),
+// where M is the largest finite coordinate magnitude, so every x/c is at
+// most 2²⁸ and its computed value is within 2⁻²⁵ of the exact one. The
+// computed cell coordinates of u and v then differ by less than
+// (1+2⁻⁴⁹)/(1+2⁻²⁰) + 2⁻²⁴ < 1 before flooring, hence by at most one cell.
+// A point with a NaN or infinite coordinate is at distance NaN or +Inf from
+// every point, so it is bucketed at the origin: for a finite radius it has
+// no edges, and for radius +Inf the side is +Inf and all points share one
+// cell.
 func UnitDisk(pos []geom.Point, radius float64) *Graph {
 	g := New(len(pos))
-	for u := range pos {
-		for v := u + 1; v < len(pos); v++ {
-			if pos[u].Dist(pos[v]) <= radius {
-				g.AddEdge(u, v)
+	if len(pos) < 2 || !(radius >= 0) {
+		return g
+	}
+	keys, cell := diskCells(pos, radius)
+	ci := geom.NewCellIndex(keys, cell)
+	var pairs []int32
+	for c := range ci.NumCells() {
+		home := ci.Nodes(c)
+		for i, u := range home {
+			pu := pos[u]
+			for _, v := range home[i+1:] {
+				if pu.Dist(pos[v]) <= radius {
+					pairs = append(pairs, u, v)
+				}
+			}
+		}
+		cx, cy := ci.Coord(c)
+		for _, off := range halfStencil {
+			d := ci.CellAt(cx+off[0], cy+off[1])
+			if d < 0 {
+				continue
+			}
+			other := ci.Nodes(d)
+			for _, u := range home {
+				pu := pos[u]
+				for _, v := range other {
+					if pu.Dist(pos[v]) <= radius {
+						pairs = append(pairs, u, v)
+					}
+				}
 			}
 		}
 	}
+	g.setEdges(pairs)
 	return g
+}
+
+// halfStencil holds one offset of each ± pair of neighbour cells, so two
+// adjacent cells meet exactly once in UnitDisk's walk.
+var halfStencil = [4][2]int{{1, -1}, {1, 0}, {1, 1}, {0, 1}}
+
+// diskCells returns the positions UnitDisk buckets by and the cell side,
+// following the exactness argument on UnitDisk for radius ≥ 0.
+func diskCells(pos []geom.Point, radius float64) ([]geom.Point, float64) {
+	finite := func(p geom.Point) bool {
+		return math.Abs(p.X) <= math.MaxFloat64 && math.Abs(p.Y) <= math.MaxFloat64
+	}
+	var keys []geom.Point
+	maxAbs := 0.0
+	for i, p := range pos {
+		if finite(p) {
+			maxAbs = max(maxAbs, math.Abs(p.X), math.Abs(p.Y))
+			continue
+		}
+		if keys == nil {
+			keys = slices.Clone(pos)
+		}
+		keys[i] = geom.Point{}
+	}
+	if keys == nil {
+		keys = pos
+	}
+	return keys, max(max(radius, 0x1p-490)*(1+0x1p-20), maxAbs*0x1p-28)
+}
+
+// setEdges fills the adjacency of an edgeless g from pairs, a flattened
+// list of (u, v) node pairs holding each undirected edge once and no
+// self-loop. It is a CSR build in O(n + edges): the edges are bucketed by
+// endpoint, then transposed, and because the transpose visits sources in
+// ascending order every neighbour list comes out ascending without a sort.
+func (g *Graph) setEdges(pairs []int32) {
+	start := make([]int, g.n+1)
+	for _, u := range pairs {
+		start[u+1]++
+	}
+	for u := range g.n {
+		start[u+1] += start[u]
+	}
+	cursor := make([]int, g.n)
+	copy(cursor, start)
+	unsorted := make([]int32, len(pairs))
+	for k := 0; k < len(pairs); k += 2 {
+		u, v := pairs[k], pairs[k+1]
+		unsorted[cursor[u]] = v
+		cursor[u]++
+		unsorted[cursor[v]] = u
+		cursor[v]++
+	}
+	copy(cursor, start)
+	arena := make([]int, len(pairs))
+	for u := range g.n {
+		for _, v := range unsorted[start[u]:start[u+1]] {
+			arena[cursor[v]] = u
+			cursor[v]++
+		}
+	}
+	for u := range g.n {
+		// Capped like Clone's lists.
+		g.adj[u] = arena[start[u]:start[u+1]:start[u+1]]
+	}
 }
 
 // Induced returns the SINR-induced graph G_a for the given deployment:

@@ -64,9 +64,10 @@ type Deployment struct {
 func (d *Deployment) NumNodes() int { return len(d.Positions) }
 
 // StrongGraph returns G_{1-ε} for the deployment. The graph is induced on
-// first use and cached — experiments query the diameter and maximum degree
-// of a shared deployment from many concurrent trials — so callers must
-// treat the returned graph as read-only. It is safe for concurrent use.
+// first use, by graphs.UnitDisk's O(n·Δ) cell walk, and cached —
+// experiments query the diameter and maximum degree of a shared deployment
+// from many concurrent trials — so callers must treat the returned graph
+// as read-only. It is safe for concurrent use.
 func (d *Deployment) StrongGraph() *graphs.Graph {
 	d.cacheMu.Lock()
 	defer d.cacheMu.Unlock()
@@ -77,9 +78,10 @@ func (d *Deployment) StrongGraph() *graphs.Graph {
 }
 
 // ApproxGraph returns G_{1-2ε} for the deployment. Like StrongGraph it is
-// induced on first use and cached (concurrent trials sharing one deployment
-// used to repay the O(n²) induction per call), so callers must treat the
-// returned graph as read-only. It is safe for concurrent use.
+// induced on first use (an O(n·Δ) cell walk, see graphs.UnitDisk) and
+// cached, so concurrent trials sharing one deployment do not repay the
+// induction, and callers must treat the returned graph as read-only. It is
+// safe for concurrent use.
 func (d *Deployment) ApproxGraph() *graphs.Graph {
 	d.cacheMu.Lock()
 	defer d.cacheMu.Unlock()
@@ -156,14 +158,7 @@ func UniformRandom(n int, side float64, params sinr.Params, src *rng.Source) (*D
 		placed := false
 		for attempt := 0; attempt < maxAttemptsPerNode; attempt++ {
 			cand := geom.Point{X: src.Float64() * side, Y: src.Float64() * side}
-			ok := true
-			for _, idx := range grid.Neighborhood(cand, 1) {
-				if pos[idx].Dist(cand) < 1 {
-					ok = false
-					break
-				}
-			}
-			if ok {
+			if !tooClose(grid, pos, cand) {
 				grid.Insert(len(pos), cand)
 				pos = append(pos, cand)
 				placed = true
@@ -179,6 +174,16 @@ func UniformRandom(n int, side float64, params sinr.Params, src *rng.Source) (*D
 		Positions: pos,
 		Params:    params,
 	}, nil
+}
+
+// tooClose reports whether a node of pos, indexed by grid (cell side 1),
+// lies at distance below 1 from p: the rejection test of the generators
+// that keep unit spacing. It allocates nothing and stops at the first hit.
+// Walking only the 3×3 cells around p misses nothing: Dist < 1 forces the
+// exact coordinate differences below 1 (a difference of 1 or more rounds
+// to at least 1), and a unit cell's coordinate is an exact floor.
+func tooClose(grid *geom.Grid, pos []geom.Point, p geom.Point) bool {
+	return grid.AnyWithin(p, 1, func(idx int) bool { return pos[idx].Dist(p) < 1 })
 }
 
 // ConnectedUniform repeatedly draws uniform random deployments until the
@@ -280,14 +285,7 @@ func Clusters(numClusters, clusterSize int, params sinr.Params, src *rng.Source)
 			angle := src.Float64() * 2 * math.Pi
 			r := radius * math.Sqrt(src.Float64())
 			cand := geom.Point{X: center.X + r*math.Cos(angle), Y: center.Y + r*math.Sin(angle)}
-			ok := true
-			for _, idx := range grid.Neighborhood(cand, 1) {
-				if pos[idx].Dist(cand) < 1 {
-					ok = false
-					break
-				}
-			}
-			if ok {
+			if !tooClose(grid, pos, cand) {
 				grid.Insert(len(pos), cand)
 				pos = append(pos, cand)
 				placedInCluster++
@@ -382,10 +380,8 @@ func TwoBalls(delta int, params sinr.Params, src *rng.Source) (*Deployment, erro
 	grid := geom.NewGrid(1)
 	var pos []geom.Point
 	add := func(p geom.Point) bool {
-		for _, idx := range grid.Neighborhood(p, 1) {
-			if pos[idx].Dist(p) < 1 {
-				return false
-			}
+		if tooClose(grid, pos, p) {
+			return false
 		}
 		grid.Insert(len(pos), p)
 		pos = append(pos, p)
